@@ -8,6 +8,7 @@ kernel or the protocol models show up in CI.  Unlike the other benches
 import gc
 import heapq
 import random
+import statistics
 import time
 
 import pytest
@@ -309,27 +310,66 @@ class TestSchedulerRewriteSpeedup:
         )
 
 
-class TestTelemetryOverhead:
-    def test_disabled_telemetry_under_5_percent_on_figure5_work(self):
-        """Telemetry off (the default) must cost <5% wall clock on the
-        Figure-5 unit of work.  The disabled path still constructs the
-        ``Telemetry`` null object and walks every ``register()`` call in
-        the fabric/NIC/DMA constructors, so the comparison baseline
-        stubs those out entirely (best-of-N interleaved minima, so
-        scheduler noise cancels).
-        """
-        import repro.telemetry.sampler as sampler
-        from repro.analysis.experiments import measure_barrier
+#: ABBA rounds per overhead gate.  Each round times every Figure-5
+#: measurement four times, so a gate takes about 8 * OVERHEAD_ROUNDS
+#: measurements -- enough that ten consecutive runs of either gate give
+#: the same verdict on a 2-CPU box, with the old simulator and the new.
+OVERHEAD_ROUNDS = 32
 
-        def sweep() -> float:
-            t0 = time.perf_counter()
-            for nic_based in (True, False):
-                measure_barrier(
-                    LANAI_4_3_SYSTEM.cluster_config(16),
-                    nic_based=nic_based, algorithm="pe",
-                    repetitions=3, warmup=1,
-                )
-            return time.perf_counter() - t0
+
+def _timed_measurement(nic_based: bool) -> float:
+    """Wall seconds of one Figure-5 measurement (16-node PE barrier, 3
+    repetitions after 1 warm-up), timed with the collector paused."""
+    # The previous measurement's garbage is still in the youngest
+    # generation (nothing is promoted while collection is off), so this
+    # frees it without walking the rest of the process's heap.
+    gc.collect(0)
+    gc.disable()
+    try:
+        t0 = time.perf_counter()
+        measure_barrier(
+            LANAI_4_3_SYSTEM.cluster_config(16),
+            nic_based=nic_based, algorithm="pe", repetitions=3, warmup=1,
+        )
+        return time.perf_counter() - t0
+    finally:
+        gc.enable()
+
+
+def paired_overhead(stock, stripped, rounds: int = OVERHEAD_ROUNDS) -> float:
+    """Relative wall-clock cost of ``stock`` over ``stripped``.
+
+    Both arguments switch the program into one variant.  The unit of
+    work is the Figure-5 measurement (NIC and host PE at 16 nodes).
+    Each pair times one measurement in ABBA order (stock, stripped,
+    stripped, stock), so a drift in machine speed cancels within the
+    pair; the estimate is the median of the per-pair ratios, so pairs a
+    sudden speed shift lands in cannot move it.  Pairs are kept short
+    (a fraction of a second) because a shared machine's speed can shift
+    within seconds.
+    """
+    stock()
+    _timed_measurement(True)  # warm imports and caches outside timing
+    gc.collect()
+    ratios = []
+    for _ in range(rounds):
+        for nic_based in (True, False):
+            stock()
+            a = _timed_measurement(nic_based)
+            stripped()
+            b = _timed_measurement(nic_based) + _timed_measurement(nic_based)
+            stock()
+            a += _timed_measurement(nic_based)
+            ratios.append(a / b)
+    return statistics.median(ratios) - 1.0
+
+
+class TestTelemetryOverhead:
+    @staticmethod
+    def measure() -> float:
+        """Disabled telemetry's overhead over a build with its hooks
+        stubbed out (see :func:`paired_overhead`)."""
+        import repro.telemetry.sampler as sampler
 
         original_register = sampler.Telemetry.register
         original_start = sampler.Telemetry.start
@@ -340,21 +380,27 @@ class TestTelemetryOverhead:
         def no_start(self):
             return None
 
-        sweep()  # warm imports and caches outside the timed region
-        stock = stubbed = float("inf")
-        try:
-            for _ in range(9):
-                sampler.Telemetry.register = original_register
-                sampler.Telemetry.start = original_start
-                stock = min(stock, sweep())
-                sampler.Telemetry.register = no_register
-                sampler.Telemetry.start = no_start
-                stubbed = min(stubbed, sweep())
-        finally:
+        def stock():
             sampler.Telemetry.register = original_register
             sampler.Telemetry.start = original_start
 
-        overhead = stock / stubbed - 1.0
+        def stripped():
+            sampler.Telemetry.register = no_register
+            sampler.Telemetry.start = no_start
+
+        try:
+            return paired_overhead(stock, stripped)
+        finally:
+            stock()
+
+    def test_disabled_telemetry_under_5_percent_on_figure5_work(self):
+        """Telemetry off (the default) must cost <5% wall clock on the
+        Figure-5 unit of work.  The disabled path still constructs the
+        ``Telemetry`` null object and walks every ``register()`` call in
+        the fabric/NIC/DMA constructors, so the comparison baseline
+        stubs those out entirely.
+        """
+        overhead = self.measure()
         assert overhead < 0.05, (
             f"disabled telemetry costs {overhead:.1%} wall clock on the "
             f"Figure-5 measurement (limit 5%)"
@@ -362,24 +408,11 @@ class TestTelemetryOverhead:
 
 
 class TestFlightRecorderOverhead:
-    def test_always_on_ring_under_5_percent_on_figure5_work(self):
-        """The flight recorder is on by default, so its ring append (one
-        per trace-site call, tracing off) must cost <5% wall clock on
-        the Figure-5 unit of work.  Compared against ``flight_size=0``
-        (best-of-N interleaved minima, so scheduler noise cancels).
-        """
+    @staticmethod
+    def measure() -> float:
+        """The always-on flight ring's overhead over ``flight_size=0``
+        (see :func:`paired_overhead`)."""
         import repro.sim.tracing as tracing
-        from repro.analysis.experiments import measure_barrier
-
-        def sweep() -> float:
-            t0 = time.perf_counter()
-            for nic_based in (True, False):
-                measure_barrier(
-                    LANAI_4_3_SYSTEM.cluster_config(16),
-                    nic_based=nic_based, algorithm="pe",
-                    repetitions=3, warmup=1,
-                )
-            return time.perf_counter() - t0
 
         original_init = tracing.Tracer.__init__
 
@@ -388,18 +421,23 @@ class TestFlightRecorderOverhead:
             original_init(self, sim, enabled=enabled,
                           categories=categories, flight_size=0)
 
-        sweep()  # warm imports and caches outside the timed region
-        with_ring = without_ring = float("inf")
-        try:
-            for _ in range(9):
-                tracing.Tracer.__init__ = original_init
-                with_ring = min(with_ring, sweep())
-                tracing.Tracer.__init__ = no_flight_init
-                without_ring = min(without_ring, sweep())
-        finally:
+        def stock():
             tracing.Tracer.__init__ = original_init
 
-        overhead = with_ring / without_ring - 1.0
+        def stripped():
+            tracing.Tracer.__init__ = no_flight_init
+
+        try:
+            return paired_overhead(stock, stripped)
+        finally:
+            stock()
+
+    def test_always_on_ring_under_5_percent_on_figure5_work(self):
+        """The flight recorder is on by default, so its ring append (one
+        per trace-site call, tracing off) must cost <5% wall clock on
+        the Figure-5 unit of work.
+        """
+        overhead = self.measure()
         assert overhead < 0.05, (
             f"always-on flight ring costs {overhead:.1%} wall clock on the "
             f"Figure-5 measurement (limit 5%)"

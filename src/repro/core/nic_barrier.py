@@ -81,10 +81,6 @@ class NicBarrierEngine:
     # ------------------------------------------------------------------
     # Helpers
     # ------------------------------------------------------------------
-    def cpu(self, operation: str):
-        """Charge one firmware operation against the NIC processor."""
-        yield from self.nic.cpu_time(operation)
-
     def trace(self, label: str, **payload) -> None:
         """Record a trace event if tracing is enabled."""
         if self.nic.tracer is not None:
@@ -108,7 +104,7 @@ class NicBarrierEngine:
     def initiate(self, port_id: int, token: BarrierSendToken):
         """Process a barrier send token from the host (SDMA context)."""
         nic = self.nic
-        yield from self.cpu(
+        yield from nic.cpu_time(
             "gb_initiate" if token.algorithm == "gb" else "barrier_initiate"
         )
         port = nic.port(port_id)
@@ -190,14 +186,14 @@ class NicBarrierEngine:
                     token, step.peer, PacketType.BARRIER_PE
                 )
             if not step.recv:
-                yield from self.cpu("barrier_advance")
+                yield from nic.cpu_time("barrier_advance")
                 token.node_index += 1
                 continue
             # "it checks to see if a barrier packet has been received from
             # that same destination" -- the post-prepare record check.
             # CPU first, then atomic check + mutation (see
             # on_barrier_packet for the atomicity discipline).
-            yield from self.cpu("barrier_check")
+            yield from nic.cpu_time("barrier_check")
             conn = nic.connection(step.peer[0])
             recorded = conn.unexpected.check_clear(step.peer[1])
             if recorded:
@@ -208,7 +204,7 @@ class NicBarrierEngine:
                     "advance", port=port.port_id, src=step.peer,
                     seq=token.barrier_seq, ctx=token.cause_ctx or token.ctx,
                 )
-                yield from self.cpu("barrier_advance")
+                yield from nic.cpu_time("barrier_advance")
                 continue
             token.awaiting_recv = True
             return
@@ -223,7 +219,7 @@ class NicBarrierEngine:
         """
         nic = self.nic
         for child in sorted(token.gather_pending):
-            yield from self.cpu("gb_gather_check")
+            yield from nic.cpu_time("gb_gather_check")
             if token.phase != "gather" or not self._token_live(port, token):
                 return  # the RDMA side finished the gather phase for us
             recorded = nic.connection(child[0]).unexpected.check_clear(child[1])
@@ -265,7 +261,7 @@ class NicBarrierEngine:
             return
         child = token.children[token.bcast_index]
         yield from self._send_barrier_packet(token, child, PacketType.BARRIER_BCAST)
-        yield from self.cpu("gb_token_requeue")
+        yield from nic.cpu_time("gb_token_requeue")
         token.bcast_index += 1
         if token.bcast_index < len(token.children):
             nic.sdma_inbox.put(("barrier_bcast", port_id, token))
@@ -297,7 +293,7 @@ class NicBarrierEngine:
         # The dereference + inspection cost (Section 5.2: "the RDMA state
         # machine can access the state of the barrier by simply
         # dereferencing the pointer").
-        yield from self.cpu("barrier_check")
+        yield from nic.cpu_time("barrier_check")
 
         # ---- atomic decision + mutation (no yields in this block) ----
         port = nic.ports.get(packet.dst_port)
@@ -311,7 +307,7 @@ class NicBarrierEngine:
                 "closed_port_record", src=src, port=packet.dst_port,
                 ctx=packet.ctx,
             )
-            yield from self.cpu("barrier_record")
+            yield from nic.cpu_time("barrier_record")
             return
 
         token = port.barrier_send_token
@@ -331,7 +327,7 @@ class NicBarrierEngine:
                 seq=token.barrier_seq, ctx=token.cause_ctx or token.ctx,
             )
             # ---- end of atomic block ----
-            yield from self.cpu("barrier_advance")
+            yield from nic.cpu_time("barrier_advance")
             if completed:
                 yield from self.complete(port.port_id, token)
             else:
@@ -361,7 +357,7 @@ class NicBarrierEngine:
                         ctx=token.cause_ctx or token.ctx,
                     )
                 # ---- end of atomic block ----
-                yield from self.cpu("gb_gather_check")
+                yield from nic.cpu_time("gb_gather_check")
                 if all_in:
                     yield from self._gb_all_gathers_in(port, token)
                 return
@@ -387,7 +383,7 @@ class NicBarrierEngine:
         )
         self.unexpected_recorded += 1
         self.trace("recorded", src=src, port=packet.dst_port, ctx=packet.ctx)
-        yield from self.cpu("barrier_record")
+        yield from nic.cpu_time("barrier_record")
 
     def complete(self, port_id: int, token: BarrierSendToken):
         """Post the completion notification to the host (RDMA context).
@@ -401,7 +397,7 @@ class NicBarrierEngine:
         port = nic.port(port_id)
         if not self._token_live(port, token):
             return
-        yield from self.cpu("barrier_complete")
+        yield from nic.cpu_time("barrier_complete")
         buf = port.take_barrier_buffer()
         if buf is None:
             raise RuntimeError(
@@ -410,7 +406,7 @@ class NicBarrierEngine:
                 "before initiating the barrier)"
             )
         yield from nic.rdma_engine.transfer(COMPLETION_DMA_BYTES)
-        yield from self.cpu("post_event")
+        yield from nic.cpu_time("post_event")
         nic_complete_time = nic.sim.now
         port.barrier_send_token = None
         port.barriers_completed += 1
@@ -508,7 +504,7 @@ class NicBarrierEngine:
         """
         nic = self.nic
         dst_node, dst_port = endpoint
-        yield from self.cpu("barrier_packet_prep")
+        yield from nic.cpu_time("barrier_packet_prep")
 
         base = cause_ctx or token.cause_ctx or token.ctx
         pctx = base.child() if base is not None else None
@@ -587,7 +583,7 @@ class NicBarrierEngine:
 
     def _send_reject(self, target: Endpoint, local_port: int, cause_ctx=None):
         """Build + queue a BARRIER_REJECT to a recorded sender (SDMA)."""
-        yield from self.cpu("packet_prep")
+        yield from self.nic.cpu_time("packet_prep")
         pctx = cause_ctx.child() if cause_ctx is not None else None
         packet = self.nic.make_packet(
             PacketType.BARRIER_REJECT,

@@ -68,10 +68,6 @@ class NicCollectiveEngine:
         self.resends = 0
 
     # ------------------------------------------------------------------
-    def cpu(self, operation: str):
-        """Charge one firmware operation against the NIC processor."""
-        yield from self.nic.cpu_time(operation)
-
     def trace(self, label: str, **payload) -> None:
         """Record a trace event if tracing is enabled."""
         if self.nic.tracer is not None:
@@ -95,7 +91,7 @@ class NicCollectiveEngine:
     def initiate(self, port_id: int, token: CollectiveSendToken):
         """Process a collective send token from the host (SDMA context)."""
         nic = self.nic
-        yield from self.cpu("gb_initiate")
+        yield from nic.cpu_time("gb_initiate")
         port = nic.port(port_id)
         if not port.is_open:
             return
@@ -146,7 +142,7 @@ class NicCollectiveEngine:
         """Consume pre-recorded child contributions, proceed if all in."""
         nic = self.nic
         for child in sorted(token.reduce_pending):
-            yield from self.cpu("gb_gather_check")
+            yield from nic.cpu_time("gb_gather_check")
             if token.phase != "reduce" or not self._token_live(port, token):
                 return
             slot = nic.connection(child[0]).coll_unexpected.get(child[1])
@@ -156,7 +152,7 @@ class NicCollectiveEngine:
                 token.accumulator = combine(
                     token.op, token.accumulator, slot["value"]
                 )
-                yield from self.cpu("coll_combine")
+                yield from nic.cpu_time("coll_combine")
                 if token.phase != "reduce" or not self._token_live(port, token):
                     return
         if token.phase == "reduce" and not token.reduce_pending:
@@ -192,7 +188,7 @@ class NicCollectiveEngine:
             nic.rdma_queue.put(("coll_complete", port.port_id, token))
             yield from ()
             return
-        yield from self.cpu("gb_gather_check")
+        yield from nic.cpu_time("gb_gather_check")
         if not self._token_live(port, token) or token.phase != "await_value":
             return
         assert token.parent is not None
@@ -217,7 +213,7 @@ class NicCollectiveEngine:
         yield from self._send_coll_packet(
             token, child, PacketType.COLL_BCAST, token.result
         )
-        yield from self.cpu("gb_token_requeue")
+        yield from nic.cpu_time("gb_token_requeue")
         token.bcast_index += 1
         if token.bcast_index < len(token.children):
             nic.sdma_inbox.put(("coll_bcast", port_id, token))
@@ -233,7 +229,7 @@ class NicCollectiveEngine:
         src: Endpoint = (packet.src_node, packet.src_port)
         value = packet.payload.get("value")
 
-        yield from self.cpu("barrier_check")
+        yield from nic.cpu_time("barrier_check")
 
         # ---- atomic decision + mutation ----
         port = nic.ports.get(packet.dst_port)
@@ -241,7 +237,7 @@ class NicCollectiveEngine:
             if port is not None:
                 port.closed_barrier_record.add(src)
             self.trace("closed_port_record", src=src, port=packet.dst_port)
-            yield from self.cpu("barrier_record")
+            yield from nic.cpu_time("barrier_record")
             return
 
         token = port.coll_send_token
@@ -253,7 +249,7 @@ class NicCollectiveEngine:
                 if all_in:
                     token.phase = "reduce_done"
                 # ---- end of atomic block ----
-                yield from self.cpu("coll_combine")
+                yield from nic.cpu_time("coll_combine")
                 if all_in:
                     yield from self._reduce_all_in(port, token)
                 return
@@ -293,7 +289,7 @@ class NicCollectiveEngine:
         }
         self.unexpected_recorded += 1
         self.trace("recorded", src=src, kind=kind)
-        yield from self.cpu("barrier_record")
+        yield from nic.cpu_time("barrier_record")
 
     def complete(self, port_id: int, token: CollectiveSendToken):
         """Post the completion (with result) to the host (RDMA context)."""
@@ -301,7 +297,7 @@ class NicCollectiveEngine:
         port = nic.port(port_id)
         if not self._token_live(port, token):
             return
-        yield from self.cpu("barrier_complete")
+        yield from nic.cpu_time("barrier_complete")
         buf = port.take_barrier_buffer()
         if buf is None:
             raise RuntimeError(
@@ -312,7 +308,7 @@ class NicCollectiveEngine:
         yield from nic.rdma_engine.transfer(
             COMPLETION_DMA_BYTES + token.payload_bytes
         )
-        yield from self.cpu("post_event")
+        yield from nic.cpu_time("post_event")
         nic_complete_time = nic.sim.now
         port.coll_send_token = None
         port.return_send_token()
@@ -347,7 +343,7 @@ class NicCollectiveEngine:
         """Prepare and queue one collective packet (SDMA context)."""
         nic = self.nic
         dst_node, dst_port = endpoint
-        yield from self.cpu("barrier_packet_prep")
+        yield from nic.cpu_time("barrier_packet_prep")
 
         if nic.params.local_barrier_optimization and dst_node == nic.node_id:
             packet = nic.make_packet(

@@ -271,11 +271,7 @@ class FaultController:
 
         if at_us > 0:
             yield Timeout(at_us)
-        yield nic.cpu_resource.request()
-        try:
-            yield Timeout(duration_us)
-        finally:
-            nic.cpu_resource.release()
+        yield from nic.cpu_resource.use(duration_us)
 
     def _register_metrics(self) -> None:
         metrics = self.cluster.sim.metrics

@@ -18,7 +18,7 @@ and ``RDMA`` terms are nonzero even for empty messages.
 from __future__ import annotations
 
 from repro.sim.engine import Simulator
-from repro.sim.primitives import Resource, Timeout
+from repro.sim.primitives import Resource
 
 
 class DmaEngine:
@@ -82,16 +82,21 @@ class DmaEngine:
         if size_bytes < 0:
             raise ValueError("negative DMA size")
         requested_at = self.sim.now
-        yield self.pci_bus.request()
-        self._pci_wait.observe(self.sim.now - requested_at)
-        self._busy.begin()
+        granted = False
+
+        def on_grant() -> None:
+            nonlocal granted
+            granted = True
+            self._pci_wait.observe(self.sim.now - requested_at)
+            self._busy.begin()
+
         try:
-            yield Timeout(self.transfer_time(size_bytes))
+            yield from self.pci_bus.use(self.transfer_time(size_bytes), on_grant)
             self.transfers += 1
             self.bytes_moved += size_bytes
         finally:
-            self._busy.end()
-            self.pci_bus.release()
+            if granted:
+                self._busy.end()
         if ctx is not None and self.tracer is not None:
             # Name "nic3.rdma" -> category "nic3", label "rdma.dma".
             category, _, engine = self.name.rpartition(".")

@@ -42,13 +42,6 @@ class StateMachine:
         yield  # make it a generator
 
     # ------------------------------------------------------------------
-    def cpu(self, operation: str):
-        """Charge one firmware operation against the NIC processor.
-
-        Usage: ``yield from self.cpu("recv_packet")``.
-        """
-        yield from self.nic.cpu_resource.use(self.nic.model.time(operation))
-
     def trace(self, label: str, **payload) -> None:
         """Record a trace event if tracing is enabled."""
         if self.nic.tracer is not None:

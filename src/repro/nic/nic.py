@@ -730,8 +730,9 @@ class Nic:
 
     # ------------------------------------------------------------------
     def cpu_time(self, operation: str):
-        """Charge ``operation`` against the NIC processor (generator)."""
-        yield from self.cpu_resource.use(self.model.time(operation))
+        """Charge ``operation`` against the NIC processor: one hold of
+        the LANai, used as ``yield from nic.cpu_time("recv_packet")``."""
+        return self.cpu_resource.use(self.model.time(operation))
 
     def shutdown(self) -> None:
         """Stop the state-machine processes (end-of-test cleanup)."""

@@ -532,24 +532,31 @@ class Simulator:
         self._running = True
         self._stop_requested = False
         try:
-            if self._profile or until is not None or max_events is not None:
+            if self._profile or until is not None:
                 self._run_checked(until, max_events)
             else:
-                self._run_fast()
+                self._run_fast(max_events)
             if until is not None and self.now < until:
                 self.now = until
         finally:
             self._running = False
         return self.now
 
-    def _run_fast(self) -> None:
-        """The hot dispatch loop: no until/max_events/profiler checks.
+    def _run_fast(self, max_events: Optional[int] = None) -> None:
+        """The hot dispatch loop: no until/profiler checks.
+
+        ``max_events`` costs one integer comparison per event: after
+        exactly that many callbacks the loop stops, raising if live
+        events remain (the same contract as :meth:`_run_checked`, which
+        also executes one callback when given a budget below one).
 
         ``events_executed``/``_live``/``cancelled_pops`` are accumulated
         in locals and flushed on every exit path (including exceptions),
         so they are exact whenever ``run()`` is not on the stack -- the
         only place anything reads them.
         """
+        # 0 never matches: ``executed`` is already >= 1 when compared.
+        budget = 0 if max_events is None else max(max_events, 1)
         executed = 0
         dead = 0
         pop = heappop
@@ -571,6 +578,13 @@ class Simulator:
                     handle[5] = None
                     executed += 1
                     callback(*args)
+                    if executed == budget:
+                        if self.peek() is not None:
+                            raise RuntimeError(
+                                f"simulation exceeded max_events={max_events}; "
+                                "likely livelock"
+                            )
+                        return
                     # Callbacks may advance the calendar via peek(); re-read.
                     cur = self._cur
                 if not self._advance_bucket():
@@ -584,7 +598,7 @@ class Simulator:
     def _run_checked(
         self, until: Optional[float], max_events: Optional[int]
     ) -> None:
-        """Dispatch loop with until/max_events/profiler support."""
+        """Dispatch loop with until/profiler support (and max_events)."""
         executed = 0
         profiled = self._profile
         while not self._stop_requested:

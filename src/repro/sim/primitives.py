@@ -18,6 +18,7 @@ waiter is handed back to its owner (``Store`` re-queues the item,
 from __future__ import annotations
 
 from collections import deque
+from types import SimpleNamespace
 from typing import TYPE_CHECKING, Any, Callable, Deque, Generic, Iterable, List, Optional, TypeVar
 
 from repro.sim.engine import PRIORITY_HIGH, Simulator
@@ -402,6 +403,8 @@ def _as_event(sim: Simulator, waitable: Any) -> SimEvent:
         return ev
     if isinstance(waitable, Process):
         return waitable.completion_event
+    if isinstance(waitable, Claim):
+        return waitable._as_event()
     raise TypeError(f"cannot wait on {waitable!r}")
 
 
@@ -501,6 +504,82 @@ class Store(Generic[T]):
             self.max_depth = len(self._items)
 
 
+class Claim:
+    """A claim on one unit of a :class:`Resource` (the waitable ``request``
+    and ``use`` hand out).
+
+    A plain claim (``duration`` None) resumes its process the instant the
+    unit is granted, like a fired event.  A *hold* (``duration`` set, by
+    :meth:`Resource.use`) schedules the end of the hold at grant time
+    instead -- immediately when the unit was free, or inside
+    ``release()``'s FIFO hand-off when queued -- so acquiring and holding
+    costs one event and one resume, with no grant wake-up in between.
+    ``on_grant`` runs at the grant instant (e.g. DMA contention stats).
+
+    Abandonment (interrupt/kill of the waiting process): a queued claim
+    is purged from the wait queue; a plain claim whose grant is in flight
+    releases the unit back; a hold's pending end is cancelled by the wait
+    handle and ``use()``'s ``finally`` releases the unit once.
+    """
+
+    __slots__ = ("resource", "duration", "on_grant", "granted", "handle")
+
+    def __init__(self, resource: "Resource") -> None:
+        self.resource = resource
+        self.duration: Optional[float] = None
+        self.on_grant: Optional[Callable[[], None]] = None
+        self.granted = False
+        self.handle: Any = None
+
+    def _subscribe(self, handle: Any) -> None:
+        self.handle = handle
+        handle.event = self
+        if self.granted:
+            self._start()
+
+    def _start(self) -> None:
+        """The unit is ours and a process waits: schedule its resume."""
+        handle = self.handle
+        sim = self.resource.sim
+        if self.duration is None:
+            handle.timer = sim.schedule(
+                0.0, handle._resume, None, priority=PRIORITY_HIGH
+            )
+        else:
+            if self.on_grant is not None:
+                self.on_grant()
+            handle.timer = sim.schedule(self.duration, handle._resume, None)
+
+    def _waiter_abandoned(self, handle: Any) -> None:
+        """The waiting process died (its pending resume is cancelled)."""
+        if not self.granted:
+            self.resource._purge_request(self)
+        elif self.duration is None:
+            # The grant was in flight to a dead waiter: hand it back.
+            self.resource.release()
+
+    def _as_event(self) -> SimEvent:
+        """Adapt a plain claim into a SimEvent (for the combinators)."""
+        resource = self.resource
+        ev: SimEvent = SimEvent(resource.sim, name=f"req:{resource.name}")
+        ev._salvage = lambda _value: resource.release()
+        if self.granted:
+            ev.succeed(None)
+            return ev
+        relay = SimpleNamespace(
+            _resume=lambda _value: ev.succeed(None), timer=None, event=None
+        )
+
+        def abandon(_ev: SimEvent) -> None:
+            if relay.timer is not None:
+                relay.timer.cancel()
+            self._waiter_abandoned(relay)
+
+        ev.abandon_hook = abandon
+        self._subscribe(relay)
+        return ev
+
+
 class Resource:
     """Capacity-limited resource with FIFO grant order.
 
@@ -513,7 +592,7 @@ class Resource:
         ...                  # hold
         resource.release()
 
-    or with the helper ``use`` generator::
+    or, for a fixed-length hold, the one-event helper::
 
         yield from resource.use(duration)
 
@@ -530,8 +609,7 @@ class Resource:
         self.name = name
         self.capacity = capacity
         self._in_use = 0
-        self._waiters: Deque[SimEvent] = deque()
-        self._req_name = f"req:{name}"
+        self._waiters: Deque[Claim] = deque()
         #: Cumulative busy time integral for utilization accounting.
         self._busy_time = 0.0
         self._last_change = sim.now
@@ -565,18 +643,16 @@ class Resource:
         self._account()
         return self._busy_time
 
-    def request(self) -> SimEvent[None]:
+    def request(self) -> Claim:
         """Return a waitable granted when a unit of capacity is free."""
-        ev: SimEvent[None] = SimEvent(self.sim, name=self._req_name)
-        ev._salvage = self._reclaim_grant
+        claim = Claim(self)
         if self._in_use < self.capacity and not self._waiters:
             self._account()
             self._in_use += 1
-            ev.succeed(None)
+            claim.granted = True
         else:
-            ev.abandon_hook = self._purge_request
-            self._waiters.append(ev)
-        return ev
+            self._waiters.append(claim)
+        return claim
 
     def release(self) -> None:
         """Return a unit of capacity; grants the oldest waiter if any."""
@@ -584,43 +660,38 @@ class Resource:
             raise RuntimeError(f"release of idle resource {self.name!r}")
         if self._waiters:
             # Hand the unit directly to the next waiter: _in_use unchanged.
-            waiter = self._waiters.popleft()
-            waiter.succeed(None)
+            claim = self._waiters.popleft()
+            claim.granted = True
+            if claim.handle is not None:
+                claim._start()
         else:
             self._account()
             self._in_use -= 1
 
-    # -- abandonment protocol ------------------------------------------
-    def _purge_request(self, ev: SimEvent) -> None:
+    def _purge_request(self, claim: Claim) -> None:
         """A queued requester's process died before being granted."""
         try:
-            self._waiters.remove(ev)
+            self._waiters.remove(claim)
         except ValueError:  # pragma: no cover - already granted/purged
             pass
 
-    def _reclaim_grant(self, _value: None) -> None:
-        """A unit was in flight to a requester that died: release it.
-
-        The grant kept the unit accounted in ``_in_use`` (direct handoff
-        never decrements), so reclaiming is exactly a ``release``: the
-        unit goes to the next waiter or back to the free pool.
-        """
-        self.release()
-
-    def use(self, duration: float):
+    def use(self, duration: float, on_grant: Optional[Callable[[], None]] = None):
         """Generator helper: acquire, hold ``duration`` us, release.
 
-        Releases only what it acquired: if the process is interrupted or
-        killed while still blocked in the request, the grant never
-        arrived here, and nothing is released (a grant in flight is
-        reclaimed by the abandonment protocol instead).
+        The hold is one :class:`Claim` whose end is scheduled at grant
+        time, so it costs a single event.  ``on_grant`` (optional) runs
+        at the grant instant.  Releases only what it acquired: a process
+        interrupted or killed while still queued is purged and releases
+        nothing; one interrupted while holding releases exactly once,
+        here.
         """
-        request = self.request()
-        acquired = False
+        if duration < 0:
+            raise ValueError(f"hold duration must be >= 0, got {duration}")
+        claim = self.request()
+        claim.duration = duration
+        claim.on_grant = on_grant
         try:
-            yield request
-            acquired = True
-            yield Timeout(duration)
+            yield claim
         finally:
-            if acquired:
+            if claim.granted:
                 self.release()

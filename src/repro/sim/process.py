@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import Any, Generator, List, Optional
 
 from repro.sim.engine import PRIORITY_HIGH, EventHandle, Simulator
-from repro.sim.primitives import AllOf, AnyOf, Interrupted, SimEvent, Timeout
+from repro.sim.primitives import AllOf, AnyOf, Claim, Interrupted, SimEvent, Timeout
 
 
 class ProcessKilled(Exception):
@@ -40,11 +40,13 @@ class _WaitHandle:
     can release engine resources instead of leaving them to fire into a
     dead flag:
 
-    * ``timer`` -- the engine handle of a pending ``Timeout``, cancelled
-      on abandon so it never even reaches dispatch;
-    * ``event`` -- the ``SimEvent`` subscribed to, notified via
-      ``_waiter_abandoned`` so it can unsubscribe us or salvage a value
-      already in flight (the Store/Resource lost-wakeup fix);
+    * ``timer`` -- the engine handle of a pending ``Timeout`` or
+      ``Resource`` grant/hold end, cancelled on abandon so it never even
+      reaches dispatch;
+    * ``event`` -- the ``SimEvent`` or resource ``Claim`` subscribed to,
+      notified via ``_waiter_abandoned`` so it can unsubscribe us or
+      salvage a value already in flight (the Store/Resource lost-wakeup
+      fix);
     * ``hooks`` -- teardown callables registered by combinators
       (``AnyOf``/``AllOf``) to cancel their children's subscriptions.
     """
@@ -56,7 +58,7 @@ class _WaitHandle:
         self.sim = process.sim
         self.active = True
         self.timer: Optional[EventHandle] = None
-        self.event: Optional[SimEvent] = None
+        self.event: Any = None  # SimEvent or resource Claim
         self.hooks: Optional[List] = None
 
     def _resume(self, value: Any) -> None:
@@ -183,7 +185,7 @@ class Process:
     def _wait_on(self, waitable: Any) -> None:
         handle = _WaitHandle(self)
         self._current_wait = handle
-        if isinstance(waitable, (Timeout, SimEvent, Process, AnyOf, AllOf)):
+        if isinstance(waitable, (Claim, Timeout, SimEvent, Process, AnyOf, AllOf)):
             waitable._subscribe(handle)
         else:
             handle.active = False

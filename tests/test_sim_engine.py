@@ -190,6 +190,28 @@ class TestMaxEventsExactSemantics:
         sim.run(until=5.0, max_events=2)
         assert seen == [1.0, 2.0]
 
+    @pytest.mark.parametrize(
+        "budget, expected",
+        [(0, (True, 1)), (1, (True, 1)), (2, (True, 2)), (3, (False, 3)), (4, (False, 3))],
+    )
+    def test_fast_loop_budget_matches_checked_loop(self, budget, expected):
+        """``max_events`` alone runs on the fast loop; with ``until`` it
+        takes the checked loop.  Both stop at the same callback, and a
+        cancelled entry left behind does not count as live."""
+
+        def outcome(until):
+            sim = Simulator()
+            for t in (1.0, 1.0, 2.0):
+                sim.schedule(t, lambda: None)
+            sim.schedule(3.0, lambda: None).cancel()
+            try:
+                sim.run(until=until, max_events=budget)
+            except RuntimeError:
+                return True, sim.events_executed
+            return False, sim.events_executed
+
+        assert outcome(None) == outcome(1e9) == expected
+
 
 class TestTinyNegativeDelayClamp:
     """Regression: float error in ``now + dt`` chains produces deltas

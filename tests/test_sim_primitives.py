@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim.engine import Simulator
-from repro.sim.primitives import Resource, SimEvent, Store, Timeout
+from repro.sim.primitives import AnyOf, Interrupted, Resource, SimEvent, Store, Timeout
 from repro.sim.process import Process
 
 
@@ -182,6 +182,150 @@ class TestResource:
     def test_invalid_capacity(self, sim):
         with pytest.raises(ValueError):
             Resource(sim, capacity=0)
+
+    def test_request_in_any_of_loses_no_grant(self, sim):
+        res = Resource(sim, capacity=1)
+        outcome = []
+
+        def holder():
+            yield from res.use(10.0)
+
+        def impatient():
+            which, _ = yield AnyOf([res.request(), Timeout(3.0)])
+            outcome.append((which, sim.now))
+            yield Timeout(10.0)
+            which, _ = yield AnyOf([res.request(), Timeout(3.0)])
+            outcome.append((which, sim.now, res.in_use))
+            res.release()
+
+        Process(sim, holder())
+        Process(sim, impatient())
+        sim.run()
+        # The losing claim was purged, so the holder's release at t=10
+        # freed the unit and the second claim wins at once.
+        assert outcome == [(1, 3.0), (0, 13.0, 1)]
+        assert res.in_use == 0 and res.queued == 0
+
+
+class TestHold:
+    """``Resource.use``: one claim whose end is scheduled at grant time."""
+
+    def test_uncontended_hold_costs_one_event(self, sim):
+        res = Resource(sim, capacity=1)
+
+        def worker():
+            yield from res.use(7.0)
+
+        Process(sim, worker())
+        assert sim.step()  # the process start: granted, hold end scheduled
+        assert res.in_use == 1 and sim.pending_events == 1
+        sim.run()
+        assert sim.events_executed == 2  # start + the hold's end, nothing else
+        assert sim.now == 7.0
+        assert res.in_use == 0
+
+    def test_contended_holds_are_fifo_with_exact_grant_times(self, sim):
+        res = Resource(sim, capacity=1)
+        grants = []
+
+        def worker(tag, arrive, hold):
+            yield Timeout(arrive)
+            yield from res.use(hold, on_grant=lambda: grants.append((tag, sim.now)))
+            grants.append((tag + "-done", sim.now))
+
+        Process(sim, worker("a", 0.0, 5.0))
+        Process(sim, worker("b", 1.0, 2.5))
+        Process(sim, worker("c", 2.0, 1.0))
+        sim.run()
+        # Each release hands the unit over (and starts the next hold)
+        # before the releasing process runs on.
+        assert grants == [
+            ("a", 0.0), ("b", 5.0), ("a-done", 5.0),
+            ("c", 7.5), ("b-done", 7.5), ("c-done", 8.5),
+        ]
+        assert res.utilization() == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("how", ["interrupt", "kill"])
+    def test_abandoned_while_queued_leaks_no_grant(self, sim, how):
+        res = Resource(sim, capacity=1)
+        log = []
+
+        def holder():
+            yield from res.use(10.0)
+
+        def victim():
+            try:
+                yield from res.use(5.0, on_grant=lambda: log.append("granted"))
+            except Interrupted:
+                log.append("interrupted")
+
+        def next_in_line():
+            yield Timeout(1.0)
+            yield from res.use(4.0)
+            log.append(("next", sim.now))
+
+        Process(sim, holder())
+        v = Process(sim, victim())
+        Process(sim, next_in_line())
+
+        def strike():
+            yield Timeout(2.0)
+            assert res.queued == 2
+            getattr(v, how)()
+            assert res.queued == 1  # purged at once, not at the grant
+
+        Process(sim, strike())
+        sim.run()
+        assert "granted" not in log
+        assert ("next", 14.0) in log  # the unit went straight to it
+        assert res.in_use == 0 and res.queued == 0
+        assert sim.pending_events == 0
+
+    @pytest.mark.parametrize("how", ["interrupt", "kill"])
+    def test_abandoned_while_holding_releases_exactly_once(self, sim, how):
+        res = Resource(sim, capacity=1)
+        log = []
+
+        def victim():
+            try:
+                yield from res.use(10.0)
+                log.append("completed")
+            except Interrupted:
+                log.append(("interrupted", res.in_use))
+
+        def waiter():
+            yield Timeout(1.0)
+            yield from res.use(2.0)
+            log.append(("waiter", sim.now))
+
+        v = Process(sim, victim())
+        Process(sim, waiter())
+
+        def strike():
+            yield Timeout(3.0)
+            getattr(v, how)()
+
+        Process(sim, strike())
+        sim.run()
+        assert "completed" not in log
+        if how == "interrupt":
+            # The handler runs after use()'s finally gave the unit back.
+            assert ("interrupted", 1) in log  # already handed to the waiter
+        assert ("waiter", 5.0) in log  # granted at the strike, held 2 us
+        assert res.in_use == 0 and res.queued == 0
+        assert sim.now == 5.0  # the victim's hold end (t=10) was cancelled
+
+    def test_negative_hold_fails_the_process(self, sim):
+        res = Resource(sim, capacity=1)
+
+        def worker():
+            yield from res.use(-1.0)
+
+        proc = Process(sim, worker())
+        with pytest.raises(ValueError, match="hold duration"):
+            sim.run()
+        assert not proc.alive
+        assert res.in_use == 0
 
 
 class TestStoreProperties:
