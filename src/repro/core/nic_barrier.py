@@ -104,7 +104,7 @@ class NicBarrierEngine:
     def initiate(self, port_id: int, token: BarrierSendToken):
         """Process a barrier send token from the host (SDMA context)."""
         nic = self.nic
-        yield from nic.cpu_time(
+        yield nic.cpu_time(
             "gb_initiate" if token.algorithm == "gb" else "barrier_initiate"
         )
         port = nic.port(port_id)
@@ -186,14 +186,14 @@ class NicBarrierEngine:
                     token, step.peer, PacketType.BARRIER_PE
                 )
             if not step.recv:
-                yield from nic.cpu_time("barrier_advance")
+                yield nic.cpu_time("barrier_advance")
                 token.node_index += 1
                 continue
             # "it checks to see if a barrier packet has been received from
             # that same destination" -- the post-prepare record check.
             # CPU first, then atomic check + mutation (see
             # on_barrier_packet for the atomicity discipline).
-            yield from nic.cpu_time("barrier_check")
+            yield nic.cpu_time("barrier_check")
             conn = nic.connection(step.peer[0])
             recorded = conn.unexpected.check_clear(step.peer[1])
             if recorded:
@@ -204,7 +204,7 @@ class NicBarrierEngine:
                     "advance", port=port.port_id, src=step.peer,
                     seq=token.barrier_seq, ctx=token.cause_ctx or token.ctx,
                 )
-                yield from nic.cpu_time("barrier_advance")
+                yield nic.cpu_time("barrier_advance")
                 continue
             token.awaiting_recv = True
             return
@@ -219,7 +219,7 @@ class NicBarrierEngine:
         """
         nic = self.nic
         for child in sorted(token.gather_pending):
-            yield from nic.cpu_time("gb_gather_check")
+            yield nic.cpu_time("gb_gather_check")
             if token.phase != "gather" or not self._token_live(port, token):
                 return  # the RDMA side finished the gather phase for us
             recorded = nic.connection(child[0]).unexpected.check_clear(child[1])
@@ -261,7 +261,7 @@ class NicBarrierEngine:
             return
         child = token.children[token.bcast_index]
         yield from self._send_barrier_packet(token, child, PacketType.BARRIER_BCAST)
-        yield from nic.cpu_time("gb_token_requeue")
+        yield nic.cpu_time("gb_token_requeue")
         token.bcast_index += 1
         if token.bcast_index < len(token.children):
             nic.sdma_inbox.put(("barrier_bcast", port_id, token))
@@ -293,7 +293,7 @@ class NicBarrierEngine:
         # The dereference + inspection cost (Section 5.2: "the RDMA state
         # machine can access the state of the barrier by simply
         # dereferencing the pointer").
-        yield from nic.cpu_time("barrier_check")
+        yield nic.cpu_time("barrier_check")
 
         # ---- atomic decision + mutation (no yields in this block) ----
         port = nic.ports.get(packet.dst_port)
@@ -307,7 +307,7 @@ class NicBarrierEngine:
                 "closed_port_record", src=src, port=packet.dst_port,
                 ctx=packet.ctx,
             )
-            yield from nic.cpu_time("barrier_record")
+            yield nic.cpu_time("barrier_record")
             return
 
         token = port.barrier_send_token
@@ -327,7 +327,7 @@ class NicBarrierEngine:
                 seq=token.barrier_seq, ctx=token.cause_ctx or token.ctx,
             )
             # ---- end of atomic block ----
-            yield from nic.cpu_time("barrier_advance")
+            yield nic.cpu_time("barrier_advance")
             if completed:
                 yield from self.complete(port.port_id, token)
             else:
@@ -357,7 +357,7 @@ class NicBarrierEngine:
                         ctx=token.cause_ctx or token.ctx,
                     )
                 # ---- end of atomic block ----
-                yield from nic.cpu_time("gb_gather_check")
+                yield nic.cpu_time("gb_gather_check")
                 if all_in:
                     yield from self._gb_all_gathers_in(port, token)
                 return
@@ -383,7 +383,7 @@ class NicBarrierEngine:
         )
         self.unexpected_recorded += 1
         self.trace("recorded", src=src, port=packet.dst_port, ctx=packet.ctx)
-        yield from nic.cpu_time("barrier_record")
+        yield nic.cpu_time("barrier_record")
 
     def complete(self, port_id: int, token: BarrierSendToken):
         """Post the completion notification to the host (RDMA context).
@@ -397,7 +397,7 @@ class NicBarrierEngine:
         port = nic.port(port_id)
         if not self._token_live(port, token):
             return
-        yield from nic.cpu_time("barrier_complete")
+        yield nic.cpu_time("barrier_complete")
         buf = port.take_barrier_buffer()
         if buf is None:
             raise RuntimeError(
@@ -406,7 +406,7 @@ class NicBarrierEngine:
                 "before initiating the barrier)"
             )
         yield from nic.rdma_engine.transfer(COMPLETION_DMA_BYTES)
-        yield from nic.cpu_time("post_event")
+        yield nic.cpu_time("post_event")
         nic_complete_time = nic.sim.now
         port.barrier_send_token = None
         port.barriers_completed += 1
@@ -504,7 +504,7 @@ class NicBarrierEngine:
         """
         nic = self.nic
         dst_node, dst_port = endpoint
-        yield from nic.cpu_time("barrier_packet_prep")
+        yield nic.cpu_time("barrier_packet_prep")
 
         base = cause_ctx or token.cause_ctx or token.ctx
         pctx = base.child() if base is not None else None
@@ -583,7 +583,7 @@ class NicBarrierEngine:
 
     def _send_reject(self, target: Endpoint, local_port: int, cause_ctx=None):
         """Build + queue a BARRIER_REJECT to a recorded sender (SDMA)."""
-        yield from self.nic.cpu_time("packet_prep")
+        yield self.nic.cpu_time("packet_prep")
         pctx = cause_ctx.child() if cause_ctx is not None else None
         packet = self.nic.make_packet(
             PacketType.BARRIER_REJECT,

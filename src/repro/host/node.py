@@ -41,19 +41,24 @@ class Node:
 
         self.driver: "GmDriver" = GmDriver(self)
 
-    def cpu_use(self, duration_us: float):
+    def cpu_use(self, duration_us: float) -> tuple:
         """Charge host CPU time: ``yield from node.cpu_use(us)`` in a
-        host-context process (one hold of a CPU; nothing for zero)."""
+        host-context process.
+
+        Returns the waits to delegate to: one hold of a CPU, or none at
+        all for zero time (no event is scheduled).  The hold resumes with
+        ``None``, so delegating to the tuple is exact.
+        """
         if duration_us < 0:
             raise ValueError("negative host CPU time")
         if duration_us == 0:
             return ()
-        return self.cpu.use(duration_us)
+        return (self.cpu.use(duration_us),)
 
-    def compute(self, duration_us: float):
+    def compute(self, duration_us: float) -> tuple:
         """Application compute phase occupying one CPU (for fuzzy-barrier
         and BSP examples): ``yield from node.compute(us)``."""
-        return self.cpu.use(duration_us)
+        return (self.cpu.use(duration_us),)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Node {self.node_id}>"

@@ -15,7 +15,7 @@ from collections import deque
 from typing import Deque, Optional
 
 from repro.sim.engine import Simulator
-from repro.sim.primitives import SimEvent
+from repro.sim.primitives import Claim
 
 
 class BufferPool:
@@ -24,6 +24,11 @@ class BufferPool:
     ``acquire()`` returns a waitable (blocks when empty); ``try_acquire()``
     is the non-blocking variant used on the receive path where blocking
     would stall the wire.
+
+    The waitable is a :class:`~repro.sim.primitives.Claim` on the pool,
+    so an acquirer killed or interrupted while queued is purged, and a
+    buffer already granted to it is handed back -- a NIC restarted after
+    a crash keeps every transmit buffer.
     """
 
     def __init__(self, sim: Simulator, count: int, buffer_bytes: int, name: str = "") -> None:
@@ -36,7 +41,7 @@ class BufferPool:
         self.buffer_bytes = buffer_bytes
         self.total = count
         self._free = count
-        self._waiters: Deque[SimEvent] = deque()
+        self._waiters: Deque[Claim] = deque()
         #: Statistics for tests / experiments.
         self.acquire_failures = 0
         self.high_watermark = 0
@@ -55,15 +60,15 @@ class BufferPool:
         """Whether a payload fits one buffer."""
         return size_bytes <= self.buffer_bytes
 
-    def acquire(self) -> SimEvent:
+    def acquire(self) -> Claim:
         """Waitable granted when a buffer is available (FIFO)."""
-        ev = SimEvent(self.sim, name=f"buf:{self.name}")
+        claim = Claim(self)
         if self._free > 0 and not self._waiters:
             self._take()
-            ev.succeed(None)
+            claim.granted = True
         else:
-            self._waiters.append(ev)
-        return ev
+            self._waiters.append(claim)
+        return claim
 
     def try_acquire(self) -> bool:
         """Grab a buffer if one is free; never blocks."""
@@ -78,9 +83,16 @@ class BufferPool:
         if self._free >= self.total and not self._waiters:
             raise RuntimeError(f"pool {self.name!r}: buffer double free")
         if self._waiters:
-            self._waiters.popleft().succeed(None)
+            self._waiters.popleft()._grant()
         else:
             self._free += 1
+
+    def _purge_request(self, claim: Claim) -> None:
+        """A queued acquirer's process died before being granted."""
+        try:
+            self._waiters.remove(claim)
+        except ValueError:  # pragma: no cover - already granted/purged
+            pass
 
     def _take(self) -> None:
         self._free -= 1

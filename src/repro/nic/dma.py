@@ -91,7 +91,7 @@ class DmaEngine:
             self._busy.begin()
 
         try:
-            yield from self.pci_bus.use(self.transfer_time(size_bytes), on_grant)
+            yield self.pci_bus.use(self.transfer_time(size_bytes), on_grant)
             self.transfers += 1
             self.bytes_moved += size_bytes
         finally:

@@ -10,14 +10,19 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.sim.process import Process, ProcessKilled
+from repro.sim.process import Process
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.nic.nic import Nic
 
 
 class StateMachine:
-    """Base class: binds to a NIC, runs :meth:`_run` as a process."""
+    """Base class: binds to a NIC, runs :meth:`_run` as a process.
+
+    :meth:`stop` kills the process; ``Process`` turns the
+    ``ProcessKilled`` that ``kill()`` throws in into a clean completion,
+    so ``_run`` needs no wrapper of its own.
+    """
 
     #: Subclasses set this for traces.
     machine_name = "machine"
@@ -27,15 +32,9 @@ class StateMachine:
         self.sim = nic.sim
         self.process = Process(
             nic.sim,
-            self._guarded_run(),
+            self._run(),
             name=f"nic{nic.node_id}.{self.machine_name}",
         )
-
-    def _guarded_run(self):
-        try:
-            yield from self._run()
-        except ProcessKilled:
-            return
 
     def _run(self):  # pragma: no cover - abstract
         raise NotImplementedError

@@ -66,10 +66,10 @@ class RdmaMachine(StateMachine):
     def _deliver(self, packet, recv_token):
         """DMA an accepted message into its host buffer + post the event."""
         nic = self.nic
-        yield from nic.cpu_time("rdma_process")
+        yield nic.cpu_time("rdma_process")
         yield from nic.rdma_engine.transfer(packet.payload_bytes, ctx=packet.ctx)
         nic.rx_buffers.release()
-        yield from nic.cpu_time("post_event")
+        yield nic.cpu_time("post_event")
         yield from nic.rdma_engine.transfer(EVENT_DMA_BYTES, ctx=packet.ctx)
         port = nic.ports.get(packet.dst_port)
         if port is not None and port.is_open:
@@ -95,7 +95,7 @@ class RdmaMachine(StateMachine):
 
         nic = self.nic
         port = nic.ports.get(packet.dst_port)
-        yield from nic.cpu_time("rdma_process")
+        yield nic.cpu_time("rdma_process")
         if packet.ptype is PacketType.PUT:
             region = None if port is None else port.exposed_regions.get(
                 packet.payload["region_id"]
@@ -111,7 +111,7 @@ class RdmaMachine(StateMachine):
             nic.rx_buffers.release()
             region.data[packet.payload["offset"]] = packet.payload["value"]
             if packet.payload.get("notify") and port.is_open:
-                yield from nic.cpu_time("post_event")
+                yield nic.cpu_time("post_event")
                 yield from nic.rdma_engine.transfer(EVENT_DMA_BYTES)
                 nic.post_host_event(
                     port,
@@ -142,7 +142,7 @@ class RdmaMachine(StateMachine):
             # answer on the reliable stream -- the remote host never runs.
             yield from nic.sdma_engine.transfer(size)
             nic.rx_buffers.release()
-            yield from nic.cpu_time("packet_prep")
+            yield nic.cpu_time("packet_prep")
             conn = nic.connection(packet.src_node)
             reply = nic.make_packet(
                 PacketType.GET_REPLY,
@@ -166,7 +166,7 @@ class RdmaMachine(StateMachine):
             yield from nic.rdma_engine.transfer(packet.payload_bytes)
             nic.rx_buffers.release()
             if port is not None and port.is_open:
-                yield from nic.cpu_time("post_event")
+                yield nic.cpu_time("post_event")
                 yield from nic.rdma_engine.transfer(EVENT_DMA_BYTES)
                 nic.post_host_event(
                     port,
@@ -183,7 +183,7 @@ class RdmaMachine(StateMachine):
     def _send_ack(self, remote_node: int):
         nic = self.nic
         conn = nic.connection(remote_node)
-        yield from nic.cpu_time("ack_gen")
+        yield nic.cpu_time("ack_gen")
         packet = nic.make_packet(
             PacketType.ACK,
             dst_node=remote_node,
@@ -196,7 +196,7 @@ class RdmaMachine(StateMachine):
     def _send_nack(self, remote_node: int):
         nic = self.nic
         conn = nic.connection(remote_node)
-        yield from nic.cpu_time("ack_gen")
+        yield nic.cpu_time("ack_gen")
         packet = nic.make_packet(
             PacketType.NACK,
             dst_node=remote_node,
@@ -208,7 +208,7 @@ class RdmaMachine(StateMachine):
 
     def _send_barrier_ack(self, barrier_packet):
         nic = self.nic
-        yield from nic.cpu_time("ack_gen")
+        yield nic.cpu_time("ack_gen")
         packet = nic.make_packet(
             PacketType.BARRIER_ACK,
             dst_node=barrier_packet.src_node,

@@ -45,19 +45,19 @@ class RecvMachine(StateMachine):
                 # Epoch fence: a suspect never recovers (fail-stop), so
                 # anything it sent before dying -- or anything delayed in
                 # the fabric -- is dropped before touching protocol state.
-                yield from nic.cpu_time("recv_control")
+                yield nic.cpu_time("recv_control")
                 continue
             if ptype is PacketType.HEARTBEAT:
                 # Liveness was recorded at wire delivery (detector.saw);
                 # the payload carries nothing else.
-                yield from nic.cpu_time("recv_control")
+                yield nic.cpu_time("recv_control")
                 continue
             if ptype is PacketType.ACK:
                 yield from self._handle_ack(packet)
             elif ptype is PacketType.NACK:
                 yield from self._handle_nack(packet)
             elif ptype is PacketType.BARRIER_ACK:
-                yield from nic.cpu_time("recv_control")
+                yield nic.cpu_time("recv_control")
                 conn = nic.connection(packet.src_node)
                 entry = conn.handle_barrier_ack(
                     packet.payload["acked_port"], packet.payload["acked_seqno"]
@@ -66,7 +66,7 @@ class RecvMachine(StateMachine):
                     nic.recovery_hist.observe(nic.sim.now - entry.first_sent_at)
                 nic.manage_barrier_retransmit_timer(conn)
             elif ptype is PacketType.BARRIER_REJECT:
-                yield from nic.cpu_time("recv_control")
+                yield nic.cpu_time("recv_control")
                 yield from nic.barrier_engine.on_reject(packet)
                 yield from nic.collective_engine.on_reject(packet)
             elif ptype is PacketType.DATA:
@@ -81,7 +81,7 @@ class RecvMachine(StateMachine):
     # ------------------------------------------------------------------
     def _handle_ack(self, packet: Packet):
         nic = self.nic
-        yield from nic.cpu_time("recv_control")
+        yield nic.cpu_time("recv_control")
         conn = nic.connection(packet.src_node)
         done = conn.handle_ack(packet.payload["cum_seqno"])
         nic.manage_retransmit_timer(conn)
@@ -101,7 +101,7 @@ class RecvMachine(StateMachine):
                 dst_node, dst_port = token.dst_node, token.dst_port
             port = nic.ports.get(token.src_port)
             if port is not None and port.is_open:
-                yield from nic.cpu_time("post_event")
+                yield nic.cpu_time("post_event")
                 port.return_send_token()
                 nic.post_host_event(
                     port,
@@ -116,7 +116,7 @@ class RecvMachine(StateMachine):
     def _handle_nack(self, packet: Packet):
         """Go-back-N: retransmit everything from the NACKed seqno."""
         nic = self.nic
-        yield from nic.cpu_time("recv_control")
+        yield nic.cpu_time("recv_control")
         conn = nic.connection(packet.src_node)
         for entry in conn.entries_from(packet.payload["expected_seqno"]):
             nic.sdma_inbox.put(("retransmit", conn.remote_node, entry))
@@ -125,7 +125,7 @@ class RecvMachine(StateMachine):
     # ------------------------------------------------------------------
     def _handle_data(self, packet: Packet):
         nic = self.nic
-        yield from nic.cpu_time("recv_packet")
+        yield nic.cpu_time("recv_packet")
         conn = nic.connection(packet.src_node)
         verdict = conn.classify_incoming(packet.seqno)
         if verdict == "duplicate":
@@ -165,7 +165,7 @@ class RecvMachine(StateMachine):
         host receive token is consumed -- the defining property of
         one-sided operations (the target process never posts a buffer)."""
         nic = self.nic
-        yield from nic.cpu_time("recv_packet")
+        yield nic.cpu_time("recv_packet")
         conn = nic.connection(packet.src_node)
         verdict = conn.classify_incoming(packet.seqno)
         if verdict == "duplicate":
@@ -193,7 +193,7 @@ class RecvMachine(StateMachine):
     # ------------------------------------------------------------------
     def _handle_barrier_payload(self, packet: Packet):
         nic = self.nic
-        yield from nic.cpu_time("recv_barrier")
+        yield nic.cpu_time("recv_barrier")
         self.trace("barrier_recv", key=packet.packet_id,
                    src=(packet.src_node, packet.src_port), ctx=packet.ctx)
         mode = nic.params.barrier_reliability

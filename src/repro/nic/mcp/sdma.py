@@ -97,7 +97,7 @@ class SdmaMachine(StateMachine):
     def _process_send_token(self, port_id: int, token: SendToken):
         """Ordinary reliable send: DMA payload in, prepare, hand to SEND."""
         nic = self.nic
-        yield from nic.cpu_time("token_process")
+        yield nic.cpu_time("token_process")
         if token.dst_node in nic.suspected_peers:
             self._fake_ack(token, token.dst_node, token.dst_port)
             return
@@ -106,9 +106,9 @@ class SdmaMachine(StateMachine):
 
         # Stage the payload into a transmit buffer (blocks if pool empty).
         yield nic.tx_buffers.acquire()
-        yield from nic.cpu_time("dma_setup")
+        yield nic.cpu_time("dma_setup")
         yield from nic.sdma_engine.transfer(token.size_bytes, ctx=token.ctx)
-        yield from nic.cpu_time("packet_prep")
+        yield nic.cpu_time("packet_prep")
 
         wire_type = token.wire_type or PacketType.DATA
         packet = nic.make_packet(
@@ -127,7 +127,7 @@ class SdmaMachine(StateMachine):
             ),
             ctx=token.ctx.child() if token.ctx is not None else None,
         )
-        yield from nic.cpu_time("send_queue_manage")
+        yield nic.cpu_time("send_queue_manage")
         conn.record_sent(SentEntry(seqno=token.seqno, packet=packet, token=token))
         nic.ensure_retransmit_timer(conn)
         self.trace("prepared", key=packet.packet_id, dst=token.dst_node,
@@ -138,7 +138,7 @@ class SdmaMachine(StateMachine):
         """NIC-assisted multidestination send (the paper's reference [2]):
         one host DMA, one packet prepared and queued per destination."""
         nic = self.nic
-        yield from nic.cpu_time("token_process")
+        yield nic.cpu_time("token_process")
         live = [
             dest for dest in token.destinations
             if dest[0] not in nic.suspected_peers
@@ -148,12 +148,12 @@ class SdmaMachine(StateMachine):
             return
         # Stage the payload once.
         yield nic.tx_buffers.acquire()
-        yield from nic.cpu_time("dma_setup")
+        yield nic.cpu_time("dma_setup")
         yield from nic.sdma_engine.transfer(token.size_bytes, ctx=token.ctx)
         token.remaining_acks = len(live)
         last_index = len(live) - 1
         for i, (dst_node, dst_port) in enumerate(live):
-            yield from nic.cpu_time("packet_prep")
+            yield nic.cpu_time("packet_prep")
             conn = nic.connection(dst_node)
             seqno = conn.assign_seqno()
             packet = nic.make_packet(
@@ -166,7 +166,7 @@ class SdmaMachine(StateMachine):
                 payload={"body": token.payload},
                 ctx=token.ctx.child() if token.ctx is not None else None,
             )
-            yield from nic.cpu_time("send_queue_manage")
+            yield nic.cpu_time("send_queue_manage")
             conn.record_sent(SentEntry(seqno=seqno, packet=packet, token=token))
             nic.ensure_retransmit_timer(conn)
             # The SRAM buffer is released when the *last* replica has been
@@ -181,13 +181,13 @@ class SdmaMachine(StateMachine):
         conn = nic.connection(remote_node)
         if entry not in conn.sent_list:
             return  # ACKed while the retransmit work item was queued.
-        yield from nic.cpu_time("token_process")
+        yield nic.cpu_time("token_process")
         yield nic.tx_buffers.acquire()
-        yield from nic.cpu_time("dma_setup")
+        yield nic.cpu_time("dma_setup")
         yield from nic.sdma_engine.transfer(
             entry.packet.payload_bytes, ctx=entry.packet.ctx
         )
-        yield from nic.cpu_time("packet_prep")
+        yield nic.cpu_time("packet_prep")
         entry.retransmits += 1
         conn.packets_retransmitted += 1
         packet = nic.clone_packet(entry.packet)

@@ -24,7 +24,7 @@ class SendMachine(StateMachine):
         nic = self.nic
         while True:
             packet, uses_buffer = yield nic.send_queue.get()
-            yield from nic.cpu_time("send_dispatch")
+            yield nic.cpu_time("send_dispatch")
             nic.inject(packet)
             if uses_buffer:
                 nic.tx_buffers.release()

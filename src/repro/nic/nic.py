@@ -26,7 +26,7 @@ from repro.nic.mcp.recv import RecvMachine
 from repro.nic.mcp.sdma import SdmaMachine
 from repro.nic.mcp.send import SendMachine
 from repro.sim.engine import Simulator
-from repro.sim.primitives import Resource, Store
+from repro.sim.primitives import Claim, Resource, Store
 from repro.sim.tracing import TraceContext, Tracer
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -729,9 +729,9 @@ class Nic:
             self.tracer.record(f"nic{self.node_id}", "nic.restart")
 
     # ------------------------------------------------------------------
-    def cpu_time(self, operation: str):
+    def cpu_time(self, operation: str) -> Claim:
         """Charge ``operation`` against the NIC processor: one hold of
-        the LANai, used as ``yield from nic.cpu_time("recv_packet")``."""
+        the LANai, used as ``yield nic.cpu_time("recv_packet")``."""
         return self.cpu_resource.use(self.model.time(operation))
 
     def shutdown(self) -> None:

@@ -11,6 +11,8 @@ Key concepts
     to a simulator instance.
 :class:`~repro.sim.process.Process`
     A generator-based coroutine.  Processes ``yield`` *waitables* --
+    resource claims and holds (:class:`~repro.sim.primitives.Claim`), store
+    gets (:class:`~repro.sim.primitives.StoreGet`),
     :class:`~repro.sim.primitives.Timeout`, :class:`~repro.sim.primitives.SimEvent`,
     other processes, or :class:`~repro.sim.primitives.AnyOf` /
     :class:`~repro.sim.primitives.AllOf` combinators -- and are resumed when

@@ -1,27 +1,39 @@
 """Waitables and synchronization primitives for simulation processes.
 
 Everything a :class:`~repro.sim.process.Process` can ``yield`` is defined
-here (plus ``Process`` itself, which is also waitable).  The protocol is
-tiny: a waitable exposes ``_subscribe(handle)`` which arranges for
-``handle._resume(value)`` (or ``handle._throw(exc)``) to be called exactly
-once when the waitable fires.
+here (plus ``Process`` itself, which is also waitable).  There are two
+kinds:
 
-Abandonment protocol (the lost-wakeup fix): the handle a process waits
-through records what it subscribed to, and tearing a wait down on
-interrupt/kill *actively* releases it -- pending timers are cancelled,
-event subscriptions removed, and a value already in flight to the dead
-waiter is handed back to its owner (``Store`` re-queues the item,
-``Resource`` re-releases the unit) instead of vanishing.  See
-``docs/engine.md`` for the full semantics.
+* **Own-handle waitables** -- :class:`Claim` (what ``Resource.request``,
+  ``Resource.use`` and ``BufferPool.acquire`` return) and
+  :class:`StoreGet` (what ``Store.get`` returns).  Each has exactly one
+  waiter and is yielded once, so it *is* its own wait handle: the
+  process attaches itself with ``_attach(process)``, the waitable's
+  scheduled callback resumes the process directly, and its
+  ``abandon()`` tears the wait down on interrupt/kill.  No per-wait
+  proxy or event object is allocated on the hot path.
+* **Shared waitables** -- :class:`Timeout`, :class:`SimEvent`,
+  ``Process`` and the :class:`AnyOf`/:class:`AllOf` combinators, which
+  may have several waiters or be yielded more than once.  They expose
+  ``_subscribe(handle)`` and are waited on through a fresh per-suspension
+  ``_WaitHandle`` (see :mod:`repro.sim.process`).
+
+Abandonment protocol (the lost-wakeup fix): tearing a wait down on
+interrupt/kill *actively* releases what it held -- pending timers are
+cancelled, queued claims and getters purged, and a value already in
+flight to the dead waiter is handed back to its owner (``Store``
+re-queues the item, ``Resource``/``BufferPool`` re-release the unit)
+instead of vanishing.  A hold abandoned while holding releases its unit
+at the process's next resume, exactly where a ``finally`` around the
+hold would.  See ``docs/engine.md`` for the full semantics.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from types import SimpleNamespace
 from typing import TYPE_CHECKING, Any, Callable, Deque, Generic, Iterable, List, Optional, TypeVar
 
-from repro.sim.engine import PRIORITY_HIGH, Simulator
+from repro.sim.engine import PRIORITY_HIGH, EventHandle, Simulator
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.process import Process
@@ -115,8 +127,9 @@ class SimEvent(Generic[T]):
     Two owner hooks support the abandonment protocol:
 
     * ``abandon_hook`` -- called with the event when its (sole) waiter
-      abandons *before* the event fires; ``Store``/``Resource`` use it to
-      purge the event from their wait queues.
+      abandons *before* the event fires; the events adapted from a
+      ``Claim`` or ``StoreGet`` (see :func:`_as_event`) use it to purge
+      the claim or getter from its owner's wait queue.
     * ``_salvage`` -- called with the fired value when the waiter
       abandons *after* the event fired but before delivery landed (the
       value is in flight to a dead handle); owners reclaim it so items
@@ -391,21 +404,95 @@ def _as_event(sim: Simulator, waitable: Any) -> SimEvent:
     Note: adapting a ``Timeout`` schedules an un-cancellable ``succeed``;
     the combinators therefore special-case timeouts and subscribe them as
     cancellable timers directly -- this adapter is kept for events,
-    processes, and external callers.
+    processes, and external callers.  An own-handle waitable (``Claim``,
+    ``StoreGet``) adapts through its own ``_as_event``: its owner fires
+    the returned event at the grant/put instant, exactly as it would a
+    process resume, and the event carries the purge and salvage hooks.
     """
     from repro.sim.process import Process
 
     if isinstance(waitable, SimEvent):
         return waitable
+    if isinstance(waitable, (Claim, StoreGet)):
+        return waitable._as_event()
     if isinstance(waitable, Timeout):
         ev: SimEvent = SimEvent(sim, name=f"timeout({waitable.delay})")
         sim.schedule(waitable.delay, ev.succeed, waitable.value)
         return ev
     if isinstance(waitable, Process):
         return waitable.completion_event
-    if isinstance(waitable, Claim):
-        return waitable._as_event()
     raise TypeError(f"cannot wait on {waitable!r}")
+
+
+class StoreGet:
+    """The waitable :meth:`Store.get` returns, and its own wait handle.
+
+    A process that yields it attaches itself; the resume is scheduled at
+    the ``put`` instant, or at once if an item was already queued, and
+    resumes the process with the item directly.  Abandonment
+    (interrupt/kill of the waiting process): a getter still queued is
+    purged from the store; an item already in flight has its delivery
+    cancelled and goes back to the store (``Store._reclaim``).
+    """
+
+    __slots__ = ("store", "item", "ready", "process", "timer", "event")
+
+    def __init__(self, store: "Store[T]") -> None:
+        self.store = store
+        self.item: Any = None
+        #: Whether ``item`` holds a delivered item.
+        self.ready = False
+        self.process: Any = None
+        self.timer: Optional[EventHandle] = None
+        self.event: Optional[SimEvent] = None
+
+    def _attach(self, process: "Process") -> None:
+        """``process`` now waits on this getter (``Process._advance``)."""
+        self.process = process
+        if self.ready:
+            self.timer = self.store.sim.schedule(
+                0.0, self._deliver, priority=PRIORITY_HIGH
+            )
+
+    def _fire(self, item: Any) -> None:
+        """The store hands this queued getter ``item``."""
+        self.item = item
+        self.ready = True
+        if self.process is not None:
+            self.timer = self.store.sim.schedule(
+                0.0, self._deliver, priority=PRIORITY_HIGH
+            )
+        elif self.event is not None:
+            self.event.succeed(item)
+
+    def _deliver(self) -> None:
+        process = self.process
+        process._current_wait = None
+        process._advance(self.item, None)
+
+    def abandon(self) -> None:
+        """The waiting process was interrupted or killed: purge or hand back."""
+        timer = self.timer
+        if timer is None:
+            self.store._purge_getter(self)
+            return
+        timer.cancel()
+        self.store._reclaim(self.item)
+
+    def _as_event(self) -> SimEvent:
+        """Adapt this getter into a SimEvent (for the combinators)."""
+        store = self.store
+        ev: SimEvent = SimEvent(store.sim, name=store._get_name)
+        ev._salvage = store._reclaim
+        if self.ready:
+            ev.succeed(self.item)
+        else:
+            self.event = ev
+            ev.abandon_hook = self._event_abandoned
+        return ev
+
+    def _event_abandoned(self, _ev: SimEvent) -> None:
+        self.store._purge_getter(self)
 
 
 class Store(Generic[T]):
@@ -432,7 +519,7 @@ class Store(Generic[T]):
         self.name = name
         self.capacity = capacity
         self._items: Deque[T] = deque()
-        self._getters: Deque[SimEvent] = deque()
+        self._getters: Deque[StoreGet] = deque()
         self._get_name = f"get:{name}"
         #: Deepest backlog seen; a queue-depth high-water mark for metrics.
         self.max_depth = 0
@@ -448,8 +535,7 @@ class Store(Generic[T]):
     def put(self, item: T) -> None:
         """Enqueue ``item``; wakes the oldest blocked getter if any."""
         if self._getters:
-            getter = self._getters.popleft()
-            getter.succeed(item)
+            self._getters.popleft()._fire(item)
             return
         if self.capacity is not None and len(self._items) >= self.capacity:
             raise OverflowError(
@@ -460,16 +546,15 @@ class Store(Generic[T]):
         if len(self._items) > self.max_depth:
             self.max_depth = len(self._items)
 
-    def get(self) -> SimEvent[T]:
+    def get(self) -> StoreGet:
         """Return a waitable that yields the next item (FIFO)."""
-        ev: SimEvent[T] = SimEvent(self.sim, name=self._get_name)
-        ev._salvage = self._reclaim
+        getter = StoreGet(self)
         if self._items:
-            ev.succeed(self._items.popleft())
+            getter.item = self._items.popleft()
+            getter.ready = True
         else:
-            ev.abandon_hook = self._purge_getter
-            self._getters.append(ev)
-        return ev
+            self._getters.append(getter)
+        return getter
 
     def try_get(self) -> Optional[T]:
         """Non-blocking get: pop and return an item, or None if empty."""
@@ -482,10 +567,10 @@ class Store(Generic[T]):
         return self._items[0] if self._items else None
 
     # -- abandonment protocol ------------------------------------------
-    def _purge_getter(self, ev: SimEvent) -> None:
+    def _purge_getter(self, getter: StoreGet) -> None:
         """A blocked getter's process died before any item arrived."""
         try:
-            self._getters.remove(ev)
+            self._getters.remove(getter)
         except ValueError:  # pragma: no cover - already delivered/purged
             pass
 
@@ -497,7 +582,7 @@ class Store(Generic[T]):
         item queue ahead of anything enqueued since.
         """
         if self._getters:
-            self._getters.popleft().succeed(item)
+            self._getters.popleft()._fire(item)
             return
         self._items.appendleft(item)
         if len(self._items) > self.max_depth:
@@ -505,79 +590,126 @@ class Store(Generic[T]):
 
 
 class Claim:
-    """A claim on one unit of a :class:`Resource` (the waitable ``request``
-    and ``use`` hand out).
+    """A claim on one unit of a :class:`Resource` or a ``BufferPool``
+    (the waitable ``request``, ``use`` and ``acquire`` return), and its
+    own wait handle.
 
-    A plain claim (``duration`` None) resumes its process the instant the
-    unit is granted, like a fired event.  A *hold* (``duration`` set, by
-    :meth:`Resource.use`) schedules the end of the hold at grant time
-    instead -- immediately when the unit was free, or inside
-    ``release()``'s FIFO hand-off when queued -- so acquiring and holding
-    costs one event and one resume, with no grant wake-up in between.
-    ``on_grant`` runs at the grant instant (e.g. DMA contention stats).
+    A *plain* claim (``duration`` None) resumes its process the instant
+    the unit is granted; the holder calls ``release()`` itself later.  A
+    *hold* (``duration`` set, by :meth:`Resource.use`) schedules the end
+    of the hold at grant time instead -- immediately when the unit was
+    free, or inside ``release()``'s FIFO hand-off when queued -- and at
+    that end releases the unit, then resumes the process.  A hold thus
+    costs one event and one resume.  ``on_grant`` runs at the grant
+    instant (e.g. DMA contention stats).
 
-    Abandonment (interrupt/kill of the waiting process): a queued claim
-    is purged from the wait queue; a plain claim whose grant is in flight
-    releases the unit back; a hold's pending end is cancelled by the wait
-    handle and ``use()``'s ``finally`` releases the unit once.
+    Abandonment (interrupt/kill of the waiting process):
+
+    * queued -- purged from the owner's wait queue; nothing is released;
+    * plain, grant in flight -- the resume is cancelled and the unit
+      handed back (to the next waiter, or freed);
+    * hold, holding -- the end is cancelled and the unit released once,
+      at the start of the process's next resume, before the exception is
+      thrown in: the same instant and order as a ``finally`` around the
+      hold would give.
     """
 
-    __slots__ = ("resource", "duration", "on_grant", "granted", "handle")
+    __slots__ = (
+        "resource", "duration", "on_grant", "granted", "process", "timer", "event",
+    )
 
-    def __init__(self, resource: "Resource") -> None:
+    def __init__(self, resource: Any) -> None:
         self.resource = resource
         self.duration: Optional[float] = None
         self.on_grant: Optional[Callable[[], None]] = None
         self.granted = False
-        self.handle: Any = None
+        self.process: Any = None
+        self.timer: Optional[EventHandle] = None
+        self.event: Optional[SimEvent] = None
 
-    def _subscribe(self, handle: Any) -> None:
-        self.handle = handle
-        handle.event = self
+    def _attach(self, process: "Process") -> None:
+        """``process`` now waits on this claim (``Process._advance``)."""
+        self.process = process
         if self.granted:
             self._start()
 
+    def _grant(self) -> None:
+        """The owner's ``release()`` handed this queued claim the unit."""
+        self.granted = True
+        if self.process is not None or self.event is not None:
+            self._start()
+
     def _start(self) -> None:
-        """The unit is ours and a process waits: schedule its resume."""
-        handle = self.handle
-        sim = self.resource.sim
-        if self.duration is None:
-            handle.timer = sim.schedule(
-                0.0, handle._resume, None, priority=PRIORITY_HIGH
-            )
-        else:
+        """The unit is ours and a waiter is attached: schedule its resume."""
+        if self.duration is not None:
             if self.on_grant is not None:
                 self.on_grant()
-            handle.timer = sim.schedule(self.duration, handle._resume, None)
+            self.timer = self.resource.sim.schedule(self.duration, self._end)
+        elif self.process is not None:
+            self.timer = self.resource.sim.schedule(
+                0.0, self._resume, priority=PRIORITY_HIGH
+            )
+        else:
+            self.event.succeed(None)
 
-    def _waiter_abandoned(self, handle: Any) -> None:
-        """The waiting process died (its pending resume is cancelled)."""
+    def _resume(self) -> None:
+        process = self.process
+        process._current_wait = None
+        process._advance(None, None)
+
+    def _end(self) -> None:
+        """The hold is over: release the unit, then resume the waiter."""
+        self.resource.release()
+        process = self.process
+        if process is None:  # a combinator child (see _as_event)
+            self.timer = None
+            self.event.succeed(None)
+            return
+        process._current_wait = None
+        process._advance(None, None)
+
+    def abandon(self) -> None:
+        """The waiting process was interrupted or killed: purge, hand the
+        grant back, or queue the hold's release for its next resume."""
         if not self.granted:
             self.resource._purge_request(self)
-        elif self.duration is None:
-            # The grant was in flight to a dead waiter: hand it back.
+            return
+        self.timer.cancel()
+        if self.duration is None:
             self.resource.release()
+        else:
+            self.process._release_on_resume = self.resource
 
     def _as_event(self) -> SimEvent:
-        """Adapt a plain claim into a SimEvent (for the combinators)."""
+        """Adapt this claim into a SimEvent (for the combinators).
+
+        The event fires at the grant (plain) or after the release at the
+        hold's end (hold).  A grant already delivered to a losing or
+        abandoned branch is released back through the salvage hook; a
+        hold abandoned before its end has nobody to resume later, so it
+        releases at once.
+        """
         resource = self.resource
         ev: SimEvent = SimEvent(resource.sim, name=f"req:{resource.name}")
-        ev._salvage = lambda _value: resource.release()
+        ev.abandon_hook = self._event_abandoned
+        if self.duration is None:
+            ev._salvage = self._hand_back
+        self.event = ev
         if self.granted:
-            ev.succeed(None)
-            return ev
-        relay = SimpleNamespace(
-            _resume=lambda _value: ev.succeed(None), timer=None, event=None
-        )
-
-        def abandon(_ev: SimEvent) -> None:
-            if relay.timer is not None:
-                relay.timer.cancel()
-            self._waiter_abandoned(relay)
-
-        ev.abandon_hook = abandon
-        self._subscribe(relay)
+            self._start()
         return ev
+
+    def _hand_back(self, _value: Any) -> None:
+        self.resource.release()
+
+    def _event_abandoned(self, _ev: SimEvent) -> None:
+        timer = self.timer
+        if timer is not None:
+            self.timer = None
+            timer.cancel()
+            self.resource.release()
+        elif not self.granted:
+            self.resource._purge_request(self)
 
 
 class Resource:
@@ -592,14 +724,14 @@ class Resource:
         ...                  # hold
         resource.release()
 
-    or, for a fixed-length hold, the one-event helper::
+    or, for a fixed-length hold, the one-event claim::
 
-        yield from resource.use(duration)
+        yield resource.use(duration)
 
     Interrupt/kill safe: a requester that dies while queued is purged,
     and a capacity unit already granted to a dying requester is released
     back (handed to the next waiter) -- capacity can neither leak nor be
-    double-released by an interrupted ``use``.
+    double-released by an interrupted hold.
     """
 
     def __init__(self, sim: Simulator, capacity: int = 1, name: str = "") -> None:
@@ -660,10 +792,7 @@ class Resource:
             raise RuntimeError(f"release of idle resource {self.name!r}")
         if self._waiters:
             # Hand the unit directly to the next waiter: _in_use unchanged.
-            claim = self._waiters.popleft()
-            claim.granted = True
-            if claim.handle is not None:
-                claim._start()
+            self._waiters.popleft()._grant()
         else:
             self._account()
             self._in_use -= 1
@@ -675,23 +804,22 @@ class Resource:
         except ValueError:  # pragma: no cover - already granted/purged
             pass
 
-    def use(self, duration: float, on_grant: Optional[Callable[[], None]] = None):
-        """Generator helper: acquire, hold ``duration`` us, release.
+    def use(
+        self, duration: float, on_grant: Optional[Callable[[], None]] = None
+    ) -> Claim:
+        """Hold one unit for ``duration`` us: ``yield resource.use(d)``.
 
-        The hold is one :class:`Claim` whose end is scheduled at grant
-        time, so it costs a single event.  ``on_grant`` (optional) runs
-        at the grant instant.  Releases only what it acquired: a process
-        interrupted or killed while still queued is purged and releases
-        nothing; one interrupted while holding releases exactly once,
-        here.
+        Returns the hold :class:`Claim`, which enters through
+        :meth:`request` and schedules the end of the hold at grant time,
+        so a hold costs a single event.  At that end the unit is released
+        and then the process resumes.  ``on_grant`` (optional) runs at
+        the grant instant.  A process interrupted or killed while still
+        queued is purged and releases nothing; one interrupted while
+        holding releases exactly once, at its next resume.
         """
         if duration < 0:
             raise ValueError(f"hold duration must be >= 0, got {duration}")
         claim = self.request()
         claim.duration = duration
         claim.on_grant = on_grant
-        try:
-            yield claim
-        finally:
-            if claim.granted:
-                self.release()
+        return claim

@@ -1,19 +1,34 @@
 """Generator-coroutine processes.
 
 A process wraps a Python generator.  Each ``yield`` hands the engine a
-*waitable* (Timeout, SimEvent, another Process, AnyOf/AllOf); the process is
-resumed with the waitable's value, or has an exception thrown into it when
-the waitable fails.  ``return value`` inside the generator completes the
-process and fires its ``completion_event`` with that value.
+*waitable* (a resource ``Claim``, a ``StoreGet``, Timeout, SimEvent,
+another Process, AnyOf/AllOf); the process is resumed with the
+waitable's value, or has an exception thrown into it when the waitable
+fails.  ``return value`` inside the generator completes the process and
+fires its ``completion_event`` with that value.
 
-Stale-wakeup safety: every suspension gets a fresh *wait handle*.  If the
-process is interrupted (or killed) while suspended, the abandoned handle is
-invalidated, so a Timeout or SimEvent that fires later cannot resume the
-process into the wrong wait.  Abandonment is *active*, not just a dead
-flag: the handle cancels its pending timer, unsubscribes from its event,
-and tells the event's owner (Store/Resource) so an in-flight delivery is
-reclaimed rather than lost -- see ``docs/engine.md`` for the full
-cancellation semantics.
+Two ways to wait, one invariant: the process's ``_current_wait`` is set
+exactly while it is suspended on a live wait, and whatever resumes it
+clears it first.
+
+* **Own-handle waitables** -- ``Claim`` (resource holds and requests,
+  buffer acquires) and ``StoreGet`` -- have one waiter and are yielded
+  once, so they are their own wait handle.  ``_advance`` recognises
+  them by exact class and attaches itself; their scheduled callback
+  resumes the process directly, and their ``abandon()`` does the purge,
+  hand-back or release on interrupt/kill.  A hold abandoned while
+  holding queues its release for the start of the process's next
+  ``_advance``, before the exception is thrown in.
+* **Shared waitables** -- SimEvent, Process, Timeout and the
+  combinators, which may have several waiters or be yielded more than
+  once -- are waited on through a fresh ``_WaitHandle`` per suspension.
+  If the process is interrupted (or killed) the handle is invalidated,
+  so a stale wakeup cannot resume the process into the wrong wait.
+  Abandonment is *active*, not just a dead flag: the handle cancels its
+  pending timer, unsubscribes from its event, and tells the event's
+  owner so an in-flight delivery is reclaimed rather than lost.
+
+See ``docs/engine.md`` for the full cancellation semantics.
 """
 
 from __future__ import annotations
@@ -21,7 +36,15 @@ from __future__ import annotations
 from typing import Any, Generator, List, Optional
 
 from repro.sim.engine import PRIORITY_HIGH, EventHandle, Simulator
-from repro.sim.primitives import AllOf, AnyOf, Claim, Interrupted, SimEvent, Timeout
+from repro.sim.primitives import (
+    AllOf,
+    AnyOf,
+    Claim,
+    Interrupted,
+    SimEvent,
+    StoreGet,
+    Timeout,
+)
 
 
 class ProcessKilled(Exception):
@@ -29,7 +52,7 @@ class ProcessKilled(Exception):
 
 
 class _WaitHandle:
-    """Per-suspension proxy handed to waitables.
+    """Per-suspension proxy handed to shared waitables.
 
     Implements the same ``_resume``/``_throw``/``sim`` surface a waitable
     expects from a process, but delivers only while it is the process's
@@ -40,13 +63,11 @@ class _WaitHandle:
     can release engine resources instead of leaving them to fire into a
     dead flag:
 
-    * ``timer`` -- the engine handle of a pending ``Timeout`` or
-      ``Resource`` grant/hold end, cancelled on abandon so it never even
-      reaches dispatch;
-    * ``event`` -- the ``SimEvent`` or resource ``Claim`` subscribed to,
-      notified via ``_waiter_abandoned`` so it can unsubscribe us or
-      salvage a value already in flight (the Store/Resource lost-wakeup
-      fix);
+    * ``timer`` -- the engine handle of a pending ``Timeout``, cancelled
+      on abandon so it never even reaches dispatch;
+    * ``event`` -- the ``SimEvent`` subscribed to, notified via
+      ``_waiter_abandoned`` so it can unsubscribe us or salvage a value
+      already in flight;
     * ``hooks`` -- teardown callables registered by combinators
       (``AnyOf``/``AllOf``) to cancel their children's subscriptions.
     """
@@ -58,27 +79,30 @@ class _WaitHandle:
         self.sim = process.sim
         self.active = True
         self.timer: Optional[EventHandle] = None
-        self.event: Any = None  # SimEvent or resource Claim
+        self.event: Any = None
         self.hooks: Optional[List] = None
 
     def _resume(self, value: Any) -> None:
         if self.active:
             self.active = False
-            self.process._advance(value, None)
+            process = self.process
+            process._current_wait = None
+            process._advance(value, None)
 
     def _throw(self, exc: BaseException) -> None:
         if self.active:
             self.active = False
-            self.process._advance(None, exc)
+            process = self.process
+            process._current_wait = None
+            process._advance(None, exc)
 
     def _deliver(self, value: Any, exc: Optional[BaseException]) -> None:
         """SimEvent-callback form of resume/throw (pre-bound, no closure)."""
         if self.active:
             self.active = False
-            if exc is not None:
-                self.process._advance(None, exc)
-            else:
-                self.process._advance(value, None)
+            process = self.process
+            process._current_wait = None
+            process._advance(value, exc)
 
     def abandon(self) -> None:
         """Deactivate and tear down whatever this wait subscribed to."""
@@ -124,7 +148,12 @@ class Process:
         self.name = name or getattr(generator, "__name__", "process")
         self._generator = generator
         self.completion_event: SimEvent = SimEvent(sim, name=f"done:{self.name}")
-        self._current_wait: Optional[_WaitHandle] = None
+        #: The live wait: a ``_WaitHandle`` or an own-handle waitable.
+        self._current_wait: Any = None
+        #: Resource of a hold abandoned while holding; released at the
+        #: start of the next ``_advance``.
+        self._release_on_resume: Any = None
+        self._done = False
         self._killed = False
         # Kick off at the current instant, high priority so a process created
         # inside a callback starts before ordinary same-instant events.
@@ -134,7 +163,7 @@ class Process:
     @property
     def alive(self) -> bool:
         """Whether the process has not yet completed."""
-        return not self.completion_event.triggered
+        return not self._done
 
     @property
     def result(self) -> Any:
@@ -144,26 +173,35 @@ class Process:
     # ------------------------------------------------------------------
     def _advance(self, value: Any, exc: Optional[BaseException]) -> None:
         """Step the generator once with a value or an exception."""
-        if not self.alive:
+        if self._done:
             return
         wait = self._current_wait
-        self._current_wait = None
-        if wait is not None and wait.active:
+        if wait is not None:
             # An interrupt/kill was scheduled before the process suspended,
             # so this exception lands while a fresh wait is subscribed:
             # tear that wait down or its waitable could fire later and
             # resume the generator into the wrong yield.
+            self._current_wait = None
             wait.abandon()
+        held = self._release_on_resume
+        if held is not None:
+            # A hold abandoned while holding gives its unit back here,
+            # before the exception is thrown in -- where a ``finally``
+            # around the hold would run.
+            self._release_on_resume = None
+            held.release()
         try:
             if exc is not None:
                 waitable = self._generator.throw(exc)
             else:
                 waitable = self._generator.send(value)
         except StopIteration as stop:
+            self._done = True
             self.completion_event.succeed(stop.value)
             return
         except ProcessKilled:
             if self._killed:
+                self._done = True
                 self.completion_event.succeed(None)
                 return
             self._fail(ProcessKilled("ProcessKilled raised without kill()"))
@@ -171,24 +209,29 @@ class Process:
         except BaseException as err:  # noqa: BLE001 - deliberately broad
             self._fail(err)
             return
-        self._wait_on(waitable)
+        kind = type(waitable)
+        if kind is Claim or kind is StoreGet:
+            self._current_wait = waitable
+            waitable._attach(self)
+        else:
+            self._wait_on(waitable)
 
     def _fail(self, exc: BaseException) -> None:
         # Record the failure on the completion event so waiters see it; if
         # nobody is waiting, escalate out of the event loop rather than
         # silently swallowing a firmware bug.
+        self._done = True
         had_waiters = bool(self.completion_event._callbacks)
         self.completion_event.fail(exc)
         if not had_waiters:
             raise exc
 
     def _wait_on(self, waitable: Any) -> None:
-        handle = _WaitHandle(self)
-        self._current_wait = handle
-        if isinstance(waitable, (Claim, Timeout, SimEvent, Process, AnyOf, AllOf)):
+        if isinstance(waitable, (Timeout, SimEvent, Process, AnyOf, AllOf)):
+            handle = _WaitHandle(self)
+            self._current_wait = handle
             waitable._subscribe(handle)
         else:
-            handle.active = False
             self.sim.schedule(
                 0.0,
                 self._advance,
@@ -207,10 +250,10 @@ class Process:
 
         The interrupted wait is abandoned: its timer is cancelled, its
         event subscription removed, and a value already in flight to it
-        is handed back to its owner (see ``_WaitHandle.abandon``) -- so a
+        is handed back to its owner (see the wait's ``abandon``) -- so a
         stale wakeup can neither resume the process nor lose an item.
         """
-        if not self.alive:
+        if self._done:
             return
         wait = self._current_wait
         if wait is not None:
@@ -222,7 +265,7 @@ class Process:
 
     def kill(self) -> None:
         """Terminate the process (it sees :class:`ProcessKilled`)."""
-        if not self.alive or self._killed:
+        if self._done or self._killed:
             return
         self._killed = True
         wait = self._current_wait

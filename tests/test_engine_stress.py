@@ -1,22 +1,24 @@
-"""Seeded interrupt/kill storm over Store/Resource/AnyOf waits.
+"""Seeded interrupt/kill storm over Store/Resource/BufferPool/AnyOf waits.
 
-The lost-wakeup bug sweep (abandonment protocol in ``_WaitHandle`` plus
-the Store/Resource salvage/purge hooks) has three system-level
-invariants that no single-path unit test pins down:
+The lost-wakeup bug sweep (the abandonment protocol of the own-handle
+waits and of ``_WaitHandle``, plus the Store/Resource/BufferPool
+salvage/purge hooks) has three system-level invariants that no
+single-path unit test pins down:
 
 * **conservation** -- every token put into a Store is either consumed by
   a live process or still in the store at quiescence; killing a getter
   mid-delivery re-delivers, it never loses the item;
-* **no capacity leak** -- Resource units held by interrupted/killed
-  processes are released (or reclaimed from an in-flight grant), so
-  ``in_use`` returns to zero and the resource stays acquirable;
+* **no capacity leak** -- Resource units and pool buffers held by
+  interrupted/killed processes are released (or reclaimed from an
+  in-flight grant), so ``in_use`` returns to zero, every buffer is free,
+  and both stay acquirable;
 * **quiescence** -- abandoned waits leave nothing live behind: no
   orphan timers (AnyOf losers), no queued waiters, ``run_until_idle``
   terminates with ``pending_events == 0``.
 
 Each seed drives a different interleaving of workers blocking on
-``store.get()``, ``resource.use()``, ``AnyOf([Timeout, store.get()])``
-and plain sleeps, while a chaos process interrupts and kills them at
+``store.get()``, ``resource.use()``, ``pool.acquire()``,
+``AnyOf([Timeout, store.get()])`` and plain sleeps, while a chaos process interrupts and kills them at
 random instants.
 """
 
@@ -26,6 +28,7 @@ import random
 
 import pytest
 
+from repro.nic.buffers import BufferPool
 from repro.sim.engine import Simulator
 from repro.sim.primitives import AnyOf, Interrupted, Resource, Store, Timeout
 from repro.sim.process import Process, ProcessKilled
@@ -33,6 +36,7 @@ from repro.sim.process import Process, ProcessKilled
 TOKENS = 60
 WORKERS = 10
 CAPACITY = 3
+BUFFERS = 1
 
 
 def _run_storm(seed: int):
@@ -40,6 +44,7 @@ def _run_storm(seed: int):
     sim = Simulator()
     store = Store(sim, name="tokens")
     resource = Resource(sim, capacity=CAPACITY, name="pool")
+    pool = BufferPool(sim, count=BUFFERS, buffer_bytes=64, name="buffers")
     consumed = []
 
     def producer():
@@ -51,12 +56,18 @@ def _run_storm(seed: int):
         try:
             while True:
                 mode = rng.random()
-                if mode < 0.35:
+                if mode < 0.3:
                     item = yield store.get()
                     consumed.append(item)
                     yield Timeout(rng.random())
-                elif mode < 0.6:
-                    yield from resource.use(rng.random() * 2.0)
+                elif mode < 0.5:
+                    yield resource.use(rng.random() * 2.0)
+                elif mode < 0.65:
+                    yield pool.acquire()
+                    try:
+                        yield Timeout(rng.random() * 4.0)
+                    finally:
+                        pool.release()
                 elif mode < 0.85:
                     which, value = yield AnyOf(
                         [Timeout(rng.random() * 3.0, value="timeout"), store.get()]
@@ -99,12 +110,12 @@ def _run_storm(seed: int):
         if victim.alive:
             victim.kill()
     sim.run_until_idle(max_events=100_000)
-    return sim, store, resource, consumed, victims
+    return sim, store, resource, pool, consumed, victims
 
 
 @pytest.mark.parametrize("seed", range(12))
 def test_interrupt_kill_storm(seed):
-    sim, store, resource, consumed, victims = _run_storm(seed)
+    sim, store, resource, pool, consumed, victims = _run_storm(seed)
 
     # Conservation: every produced token was consumed exactly once or is
     # still sitting in the store; nothing lost, nothing duplicated.
@@ -119,6 +130,8 @@ def test_interrupt_kill_storm(seed):
     # No capacity leak: all units back, no ghost waiters queued.
     assert resource.in_use == 0, f"seed {seed}: leaked {resource.in_use} units"
     assert resource.queued == 0
+    assert pool.free == BUFFERS, f"seed {seed}: leaked {pool.in_use} buffers"
+    assert not pool._waiters
     assert len(store._getters) == 0
 
     # Quiescence: the engine is empty -- no orphan AnyOf timers, no
@@ -137,10 +150,19 @@ def test_interrupt_kill_storm(seed):
         for _ in range(CAPACITY):
             resource.release()
 
+    def buffer_prober():
+        for _ in range(BUFFERS):
+            yield pool.acquire()
+            grants.append(sim.now)
+        for _ in range(BUFFERS):
+            pool.release()
+
     Process(sim, prober(), name="prober")
+    Process(sim, buffer_prober(), name="buffer-prober")
     sim.run_until_idle(max_events=10_000)
-    assert len(grants) == CAPACITY
+    assert len(grants) == CAPACITY + BUFFERS
     assert resource.in_use == 0
+    assert pool.free == BUFFERS
 
 
 @pytest.mark.parametrize("seed", (0, 7))
@@ -148,6 +170,6 @@ def test_storm_is_deterministic(seed):
     """Same seed, same interleaving: the storm itself is reproducible."""
     a = _run_storm(seed)
     b = _run_storm(seed)
-    assert a[3] == b[3]  # identical consumption order
+    assert a[4] == b[4]  # identical consumption order
     assert a[0].events_executed == b[0].events_executed
     assert a[0].now == b[0].now

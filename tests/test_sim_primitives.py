@@ -4,8 +4,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.nic.buffers import BufferPool
 from repro.sim.engine import Simulator
-from repro.sim.primitives import AnyOf, Interrupted, Resource, SimEvent, Store, Timeout
+from repro.sim.primitives import (
+    AllOf,
+    AnyOf,
+    Interrupted,
+    Resource,
+    SimEvent,
+    Store,
+    Timeout,
+)
 from repro.sim.process import Process
 
 
@@ -139,7 +148,7 @@ class TestResource:
         done = []
 
         def worker(tag):
-            yield from res.use(10.0)
+            yield res.use(10.0)
             done.append((tag, sim.now))
 
         for tag in "abc":
@@ -173,7 +182,7 @@ class TestResource:
         res = Resource(sim, capacity=1)
 
         def worker():
-            yield from res.use(25.0)
+            yield res.use(25.0)
 
         Process(sim, worker())
         sim.run(until=100.0)
@@ -188,7 +197,7 @@ class TestResource:
         outcome = []
 
         def holder():
-            yield from res.use(10.0)
+            yield res.use(10.0)
 
         def impatient():
             which, _ = yield AnyOf([res.request(), Timeout(3.0)])
@@ -214,7 +223,7 @@ class TestHold:
         res = Resource(sim, capacity=1)
 
         def worker():
-            yield from res.use(7.0)
+            yield res.use(7.0)
 
         Process(sim, worker())
         assert sim.step()  # the process start: granted, hold end scheduled
@@ -230,7 +239,7 @@ class TestHold:
 
         def worker(tag, arrive, hold):
             yield Timeout(arrive)
-            yield from res.use(hold, on_grant=lambda: grants.append((tag, sim.now)))
+            yield res.use(hold, on_grant=lambda: grants.append((tag, sim.now)))
             grants.append((tag + "-done", sim.now))
 
         Process(sim, worker("a", 0.0, 5.0))
@@ -251,17 +260,17 @@ class TestHold:
         log = []
 
         def holder():
-            yield from res.use(10.0)
+            yield res.use(10.0)
 
         def victim():
             try:
-                yield from res.use(5.0, on_grant=lambda: log.append("granted"))
+                yield res.use(5.0, on_grant=lambda: log.append("granted"))
             except Interrupted:
                 log.append("interrupted")
 
         def next_in_line():
             yield Timeout(1.0)
-            yield from res.use(4.0)
+            yield res.use(4.0)
             log.append(("next", sim.now))
 
         Process(sim, holder())
@@ -288,14 +297,14 @@ class TestHold:
 
         def victim():
             try:
-                yield from res.use(10.0)
+                yield res.use(10.0)
                 log.append("completed")
             except Interrupted:
                 log.append(("interrupted", res.in_use))
 
         def waiter():
             yield Timeout(1.0)
-            yield from res.use(2.0)
+            yield res.use(2.0)
             log.append(("waiter", sim.now))
 
         v = Process(sim, victim())
@@ -319,13 +328,283 @@ class TestHold:
         res = Resource(sim, capacity=1)
 
         def worker():
-            yield from res.use(-1.0)
+            yield res.use(-1.0)
 
         proc = Process(sim, worker())
         with pytest.raises(ValueError, match="hold duration"):
             sim.run()
         assert not proc.alive
         assert res.in_use == 0
+
+
+HOW = ["interrupt", "kill"]
+
+
+def _victim(log, waitable_factory):
+    """A process that waits once and records what it got, or its interrupt."""
+    try:
+        value = yield waitable_factory()
+        log.append(("victim", value))
+    except Interrupted:
+        log.append("interrupted")
+
+
+class TestOwnHandleWaits:
+    """``Claim`` (hold and plain), ``StoreGet`` and the buffer acquire are
+    their own wait handles: each state of each is torn down exactly on
+    interrupt and kill."""
+
+    # -- plain claims: Resource.request() -------------------------------
+    @pytest.mark.parametrize("how", HOW)
+    def test_plain_claim_queued_is_purged(self, sim, how):
+        res = Resource(sim, capacity=1)
+        log = []
+
+        def holder():
+            yield res.request()
+            yield Timeout(10.0)
+            res.release()
+
+        def next_in_line():
+            yield Timeout(1.0)
+            yield res.request()
+            log.append(("next", sim.now))
+            res.release()
+
+        Process(sim, holder())
+        v = Process(sim, _victim(log, res.request))
+        Process(sim, next_in_line())
+        sim.schedule(2.0, getattr(v, how))
+        sim.run()
+        assert ("victim", None) not in log
+        assert ("next", 10.0) in log
+        assert res.in_use == 0 and res.queued == 0
+        assert sim.pending_events == 0
+
+    @pytest.mark.parametrize("how", HOW)
+    @pytest.mark.parametrize("queued_behind", [True, False])
+    def test_plain_claim_grant_in_flight_is_handed_back(self, sim, how, queued_behind):
+        res = Resource(sim, capacity=1)
+        log = []
+        victim = []
+
+        def holder():
+            yield res.request()
+            yield Timeout(10.0)
+            res.release()  # the grant is now in flight to the victim ...
+            getattr(victim[0], how)()  # ... which dies before it lands
+
+        def next_in_line():
+            yield Timeout(1.0)
+            yield res.request()
+            log.append(("next", sim.now))
+            res.release()
+
+        Process(sim, holder())
+        victim.append(Process(sim, _victim(log, res.request)))
+        if queued_behind:
+            Process(sim, next_in_line())
+        sim.run()
+        assert ("victim", None) not in log
+        if queued_behind:
+            assert ("next", 10.0) in log  # the grant went on to the next waiter
+        assert res.in_use == 0 and res.queued == 0
+        assert sim.pending_events == 0
+
+    # -- holds: Resource.use() ----------------------------------------
+    @pytest.mark.parametrize("how", HOW)
+    def test_hold_releases_at_the_next_resume_not_at_the_strike(self, sim, how):
+        res = Resource(sim, capacity=1)
+        seen = []
+
+        def victim():
+            try:
+                yield res.use(10.0)
+            except Interrupted:
+                seen.append(("handler", res.in_use))
+
+        v = Process(sim, victim())
+
+        def strike():
+            yield Timeout(3.0)
+            getattr(v, how)()
+            seen.append(("struck", res.in_use))
+
+        Process(sim, strike())
+        sim.run()
+        # Still held right after the strike: the release runs where a
+        # ``finally`` around the hold would, before the handler.
+        assert seen[0] == ("struck", 1)
+        if how == "interrupt":
+            assert seen[1] == ("handler", 0)
+        assert res.in_use == 0 and sim.now == 3.0
+
+    def test_hold_struck_twice_releases_once(self, sim):
+        res = Resource(sim, capacity=1)
+        v = Process(sim, _victim([], lambda: res.use(10.0)))
+
+        def strike():
+            yield Timeout(3.0)
+            v.interrupt()
+            v.kill()
+
+        Process(sim, strike())
+        sim.run()  # a second release would raise "release of idle resource"
+        assert not v.alive
+        assert res.in_use == 0 and sim.now == 3.0
+
+    def test_yield_from_a_hold_fails_loudly(self, sim):
+        res = Resource(sim, capacity=1)
+
+        def worker():
+            yield from res.use(5.0)
+
+        proc = Process(sim, worker())
+        with pytest.raises(TypeError):
+            sim.run()
+        assert not proc.alive
+
+    # -- store gets ---------------------------------------------------
+    @pytest.mark.parametrize("how", HOW)
+    def test_store_get_queued_is_purged(self, sim, how):
+        store = Store(sim)
+        log = []
+        v = Process(sim, _victim(log, store.get))
+        sim.schedule(1.0, getattr(v, how))
+        sim.schedule(2.0, store.put, "x")
+        sim.run()
+        assert ("victim", "x") not in log
+        assert store.items == ("x",) and len(store._getters) == 0
+
+    @pytest.mark.parametrize("how", HOW)
+    def test_store_item_in_flight_goes_to_the_next_getter(self, sim, how):
+        store = Store(sim)
+        log = []
+        v = Process(sim, _victim(log, store.get))
+
+        def next_getter():
+            log.append(("next", (yield store.get())))
+
+        Process(sim, next_getter())
+
+        def strike():
+            store.put("x")  # in flight to the victim ...
+            getattr(v, how)()  # ... which dies before it lands
+
+        sim.schedule(1.0, strike)
+        sim.run()
+        assert ("victim", "x") not in log
+        assert ("next", "x") in log
+        assert len(store) == 0 and sim.pending_events == 0
+
+    @pytest.mark.parametrize("how", HOW)
+    def test_store_item_in_flight_returns_to_the_head(self, sim, how):
+        store = Store(sim)
+        log = []
+        v = Process(sim, _victim(log, store.get))
+
+        def strike():
+            store.put("x")  # in flight to the victim
+            store.put("y")  # queued behind it
+            getattr(v, how)()
+
+        sim.schedule(1.0, strike)
+        sim.run()
+        assert ("victim", "x") not in log
+        assert store.items == ("x", "y")
+
+    # -- buffer acquires ---------------------------------------------
+    @pytest.mark.parametrize("how", HOW)
+    def test_buffer_acquire_queued_is_purged(self, sim, how):
+        """Pool of one, holder A, queued B: killing B must not let A's
+        release hand the buffer to the dead B."""
+        pool = BufferPool(sim, count=1, buffer_bytes=64)
+        log = []
+
+        def holder():
+            yield pool.acquire()
+            yield Timeout(10.0)
+            pool.release()
+
+        Process(sim, holder())
+        v = Process(sim, _victim(log, pool.acquire))
+        sim.schedule(2.0, getattr(v, how))
+        sim.run()
+        assert ("victim", None) not in log
+        assert pool.free == 1 and not pool._waiters
+
+    @pytest.mark.parametrize("how", HOW)
+    def test_buffer_grant_in_flight_is_handed_back(self, sim, how):
+        pool = BufferPool(sim, count=1, buffer_bytes=64)
+        log = []
+        victim = []
+
+        def holder():
+            yield pool.acquire()
+            yield Timeout(10.0)
+            pool.release()  # the grant is now in flight to the victim ...
+            getattr(victim[0], how)()  # ... which dies before it lands
+
+        Process(sim, holder())
+        victim.append(Process(sim, _victim(log, pool.acquire)))
+        sim.run()
+        assert ("victim", None) not in log
+        assert pool.free == 1 and not pool._waiters
+        assert sim.pending_events == 0
+
+    # -- combinator children --------------------------------------------
+    def test_own_handle_waits_as_anyof_children(self, sim):
+        res = Resource(sim, capacity=1)
+        store = Store(sim)
+        pool = BufferPool(sim, count=1, buffer_bytes=64)
+        out = []
+
+        def proc():
+            # A hold that ends first wins, and has released its unit.
+            out.append((yield AnyOf([res.use(2.0), Timeout(3.0)])))
+            out.append((sim.now, res.in_use))
+            # A hold that loses is cut short and releases at once.
+            out.append((yield AnyOf([res.use(5.0), Timeout(3.0, "t")])))
+            out.append((sim.now, res.in_use))
+            sim.schedule(1.0, store.put, "x")
+            out.append((yield AnyOf([store.get(), Timeout(3.0)])))
+            assert pool.try_acquire()
+            sim.schedule(5.0, pool.release)
+            # A losing queued acquire is purged: the release frees the buffer.
+            out.append((yield AnyOf([pool.acquire(), Timeout(3.0, "t")])))
+
+        Process(sim, proc())
+        sim.run()
+        assert out == [(0, None), (2.0, 0), (1, "t"), (5.0, 0), (0, "x"), (1, "t")]
+        assert res.in_use == 0 and res.queued == 0
+        assert pool.free == 1 and not pool._waiters
+        assert len(store._getters) == 0 and sim.pending_events == 0
+
+    def test_own_handle_waits_as_allof_children(self, sim):
+        res = Resource(sim, capacity=1)
+        store = Store(sim)
+        pool = BufferPool(sim, count=1, buffer_bytes=64)
+        boom = SimEvent(sim)
+        out = []
+
+        def proc():
+            sim.schedule(1.0, store.put, "x")
+            out.append((yield AllOf([res.request(), store.get(), pool.acquire()])))
+            res.release()
+            pool.release()
+            # A failure after the grants landed hands every one back.
+            sim.schedule(2.0, boom.fail, KeyError("boom"))
+            sim.schedule(1.0, store.put, "y")
+            try:
+                yield AllOf([res.request(), store.get(), pool.acquire(), boom])
+            except KeyError:
+                out.append("failed")
+
+        Process(sim, proc())
+        sim.run()
+        assert out == [[None, "x", None], "failed"]
+        assert res.in_use == 0 and pool.free == 1
+        assert store.items == ("y",)
 
 
 class TestStoreProperties:
