@@ -16,9 +16,14 @@ becomes a failed :class:`JobResult` while sibling jobs complete.  A
 worker that dies outright (segfault, ``os._exit``) surfaces as
 ``BrokenProcessPool`` on its future; worker death is an infrastructure
 fault rather than a property of the job, so the executor re-runs such
-jobs on a fresh pool up to ``max_retries`` times (counted by the
-``campaign.retries`` metric) before recording the failure -- and never
-a hung pool either way.
+jobs on a fresh pool up to ``max_retries`` times before recording the
+failure -- and never a hung pool either way.  One death breaks the
+whole pool, and which caught job ran in the dead worker is unknowable,
+so a broken pool counts as one death in the ``campaign.retries`` metric
+and every other caught job as a requeued sibling in
+``campaign.requeued``; each isolated re-run that dies and is retried
+again counts one more retry.  ``campaign.retries`` is thus the same on
+every run, however the siblings' collection races the death.
 
 Progress streams through the PR-1 observability machinery: a
 :class:`~repro.sim.metrics.MetricsRegistry` counts submissions, cache
@@ -168,17 +173,21 @@ def _retry_broken_job(
     max_retries: int,
     registry: MetricsRegistry,
 ) -> dict:
-    """Re-run a job whose worker died, up to ``max_retries`` times.
+    """Re-run a job caught by a dead worker, up to ``max_retries`` times.
 
     Each attempt gets its own single-worker pool -- the original pool is
     poisoned, and an isolated worker keeps a repeatedly-crashing job
-    from taking sibling retries down with it.  Returns the payload of
-    the first surviving attempt, or a failure payload quoting the first
-    death when every attempt dies too.
+    from taking sibling retries down with it.  The first attempt was
+    counted by the caller (the pool's death, or a requeued sibling); a
+    later one follows this job's own death and counts in
+    ``campaign.retries``.  Returns the payload of the first surviving
+    attempt, or a failure payload quoting the first death when every
+    attempt dies too.
     """
     error = first_error
     for attempt in range(1, max_retries + 1):
-        registry.counter("campaign.retries").inc()
+        if attempt > 1:
+            registry.counter("campaign.retries").inc()
         logger.warning(
             "[%s] worker died on %s (%s); retry %d/%d on a fresh pool",
             name, spec.tag or spec.cache_key()[:12], error, attempt,
@@ -411,6 +420,11 @@ def run_campaign(
                             "traceback": traceback_module.format_exc(),
                         }
                     finish(index, spec, key, payload)
+            if broken and max_retries:
+                # One death broke the pool; the other caught jobs are
+                # siblings whose worker died under them or never ran.
+                registry.counter("campaign.retries").inc()
+                registry.counter("campaign.requeued").inc(len(broken) - 1)
             for index, spec, key, first_error in broken:
                 finish(
                     index, spec, key,

@@ -45,6 +45,7 @@ from repro.gm.port import NicPort
 from repro.gm.tokens import BarrierSendToken, Endpoint
 from repro.network.packet import Packet, PacketType
 from repro.nic.mcp.connection import BarrierUnacked, SentEntry
+from repro.sim.tracing import trace_site
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.nic.nic import Nic
@@ -60,6 +61,8 @@ class NicBarrierEngine:
 
     def __init__(self, nic: "Nic") -> None:
         self.nic = nic
+        #: Trace site: category ``nic<id>``, labels ``barrier.<label>``.
+        self.trace = trace_site(nic.tracer, f"nic{nic.node_id}", "barrier.")
         #: Recently initiated tokens per port, for REJECT-triggered resends
         #: that arrive after the local barrier already completed (a GB
         #: broadcast to a slow-opening child).
@@ -81,13 +84,6 @@ class NicBarrierEngine:
     # ------------------------------------------------------------------
     # Helpers
     # ------------------------------------------------------------------
-    def trace(self, label: str, **payload) -> None:
-        """Record a trace event if tracing is enabled."""
-        if self.nic.tracer is not None:
-            self.nic.tracer.record(
-                f"nic{self.nic.node_id}", f"barrier.{label}", **payload
-            )
-
     def _token_live(self, port: NicPort, token: BarrierSendToken) -> bool:
         return port.is_open and port.barrier_send_token is token
 
@@ -119,21 +115,19 @@ class NicBarrierEngine:
         port.barrier_send_token = token
         self._remember(port_id, token)
         self.barriers_initiated += 1
-        self.trace(
-            "initiate", port=port_id, alg=token.algorithm,
-            seq=token.barrier_seq, ctx=token.ctx,
-        )
+        self.trace("initiate", {
+            "port": port_id, "alg": token.algorithm, "seq": token.barrier_seq,
+            "ctx": token.ctx,
+        })
         # Phase-span begin records ("<alg>.begin"/"<alg>.end" pairs are
         # auto-discovered by Tracer.to_chrome_trace).
-        self.trace(
-            f"{token.algorithm}.begin", port=port_id, key=token.barrier_seq,
-            ctx=token.ctx,
-        )
+        self.trace(f"{token.algorithm}.begin", {
+            "port": port_id, "key": token.barrier_seq, "ctx": token.ctx,
+        })
         if token.algorithm == "gb":
-            self.trace(
-                "gb.gather.begin", port=port_id, key=token.barrier_seq,
-                ctx=token.ctx,
-            )
+            self.trace("gb.gather.begin", {
+                "port": port_id, "key": token.barrier_seq, "ctx": token.ctx,
+            })
 
         if token.algorithm == "pe":
             yield from self._pe_loop(port, token)
@@ -200,10 +194,11 @@ class NicBarrierEngine:
                 if recorded is not True:
                     token.cause_ctx = recorded
                 token.node_index += 1
-                self.trace(
-                    "advance", port=port.port_id, src=step.peer,
-                    seq=token.barrier_seq, ctx=token.cause_ctx or token.ctx,
-                )
+                self.trace("advance", {
+                    "port": port.port_id, "src": step.peer,
+                    "seq": token.barrier_seq,
+                    "ctx": token.cause_ctx or token.ctx,
+                })
                 yield nic.cpu_time("barrier_advance")
                 continue
             token.awaiting_recv = True
@@ -229,10 +224,10 @@ class NicBarrierEngine:
                 token.gather_pending.discard(child)
         if token.phase == "gather" and not token.gather_pending:
             token.phase = "gathers_done"
-            self.trace(
-                "gb.gather.end", port=port.port_id, key=token.barrier_seq,
-                ctx=token.cause_ctx or token.ctx,
-            )
+            self.trace("gb.gather.end", {
+                "port": port.port_id, "key": token.barrier_seq,
+                "ctx": token.cause_ctx or token.ctx,
+            })
             yield from self._gb_all_gathers_in(port, token)
 
     def _gb_all_gathers_in(self, port: NicPort, token: BarrierSendToken):
@@ -267,10 +262,10 @@ class NicBarrierEngine:
             nic.sdma_inbox.put(("barrier_bcast", port_id, token))
         else:
             token.phase = "done"
-            self.trace(
-                "gb.bcast.end", port=port_id, key=token.barrier_seq,
-                ctx=token.cause_ctx or token.ctx,
-            )
+            self.trace("gb.bcast.end", {
+                "port": port_id, "key": token.barrier_seq,
+                "ctx": token.cause_ctx or token.ctx,
+            })
 
     # ------------------------------------------------------------------
     # RDMA-side entry points
@@ -303,10 +298,9 @@ class NicBarrierEngine:
             if port is not None:
                 port.closed_barrier_record.add(src)
                 port.closed_barrier_ctx[src] = packet.ctx
-            self.trace(
-                "closed_port_record", src=src, port=packet.dst_port,
-                ctx=packet.ctx,
-            )
+            self.trace("closed_port_record", {
+                "src": src, "port": packet.dst_port, "ctx": packet.ctx,
+            })
             yield nic.cpu_time("barrier_record")
             return
 
@@ -322,10 +316,10 @@ class NicBarrierEngine:
             token.node_index += 1
             token.cause_ctx = packet.ctx or token.cause_ctx
             completed = token.node_index >= len(token.steps)
-            self.trace(
-                "advance", port=port.port_id, src=src,
-                seq=token.barrier_seq, ctx=token.cause_ctx or token.ctx,
-            )
+            self.trace("advance", {
+                "port": port.port_id, "src": src, "seq": token.barrier_seq,
+                "ctx": token.cause_ctx or token.ctx,
+            })
             # ---- end of atomic block ----
             yield nic.cpu_time("barrier_advance")
             if completed:
@@ -343,19 +337,18 @@ class NicBarrierEngine:
                 token.gather_pending.discard(src)
                 token.cause_ctx = packet.ctx or token.cause_ctx
                 all_in = not token.gather_pending
-                self.trace(
-                    "advance", port=port.port_id, src=src,
-                    seq=token.barrier_seq, ctx=token.cause_ctx or token.ctx,
-                )
+                self.trace("advance", {
+                    "port": port.port_id, "src": src, "seq": token.barrier_seq,
+                    "ctx": token.cause_ctx or token.ctx,
+                })
                 if all_in:
                     # Claim the transition atomically (the SDMA-side
                     # initiate scan also checks the phase).
                     token.phase = "gathers_done"
-                    self.trace(
-                        "gb.gather.end", port=port.port_id,
-                        key=token.barrier_seq,
-                        ctx=token.cause_ctx or token.ctx,
-                    )
+                    self.trace("gb.gather.end", {
+                        "port": port.port_id, "key": token.barrier_seq,
+                        "ctx": token.cause_ctx or token.ctx,
+                    })
                 # ---- end of atomic block ----
                 yield nic.cpu_time("gb_gather_check")
                 if all_in:
@@ -368,10 +361,10 @@ class NicBarrierEngine:
             ):
                 token.phase = "bcast"
                 token.cause_ctx = packet.ctx or token.cause_ctx
-                self.trace(
-                    "advance", port=port.port_id, src=src,
-                    seq=token.barrier_seq, ctx=token.cause_ctx or token.ctx,
-                )
+                self.trace("advance", {
+                    "port": port.port_id, "src": src, "seq": token.barrier_seq,
+                    "ctx": token.cause_ctx or token.ctx,
+                })
                 # ---- end of atomic block ----
                 yield from self.complete(port.port_id, token)
                 return
@@ -382,7 +375,9 @@ class NicBarrierEngine:
             packet.src_port, dst_port=packet.dst_port, ctx=packet.ctx
         )
         self.unexpected_recorded += 1
-        self.trace("recorded", src=src, port=packet.dst_port, ctx=packet.ctx)
+        self.trace("recorded", {
+            "src": src, "port": packet.dst_port, "ctx": packet.ctx,
+        })
         yield nic.cpu_time("barrier_record")
 
     def complete(self, port_id: int, token: BarrierSendToken):
@@ -421,20 +416,20 @@ class NicBarrierEngine:
                 ctx=ctx,
             ),
         )
-        self.trace(
-            f"{token.algorithm}.end", port=port_id, key=token.barrier_seq,
-            ctx=ctx,
-        )
-        self.trace("complete", port=port_id, seq=token.barrier_seq, ctx=ctx)
+        self.trace(f"{token.algorithm}.end", {
+            "port": port_id, "key": token.barrier_seq, "ctx": ctx,
+        })
+        self.trace("complete", {
+            "port": port_id, "seq": token.barrier_seq, "ctx": ctx,
+        })
         if token.queued_at is not None:
             self._latency_hist.observe(nic_complete_time - token.queued_at)
         if token.algorithm == "gb":
             if token.phase == "bcast" and token.children:
                 token.bcast_index = 0
-                self.trace(
-                    "gb.bcast.begin", port=port_id, key=token.barrier_seq,
-                    ctx=ctx,
-                )
+                self.trace("gb.bcast.begin", {
+                    "port": port_id, "key": token.barrier_seq, "ctx": ctx,
+                })
                 nic.sdma_inbox.put(("barrier_bcast", port_id, token))
             else:
                 token.phase = "done"
@@ -467,10 +462,10 @@ class NicBarrierEngine:
             port.return_send_token()
             port.take_barrier_buffer()
             ctx = token.cause_ctx or token.ctx
-            self.trace(
-                "abort", port=port_id, seq=token.barrier_seq,
-                suspects=sorted(suspects), ctx=ctx,
-            )
+            self.trace("abort", {
+                "port": port_id, "seq": token.barrier_seq,
+                "suspects": sorted(suspects), "ctx": ctx,
+            })
             nic.post_host_event(
                 port,
                 PeerFailureEvent(
@@ -524,7 +519,7 @@ class NicBarrierEngine:
             )
             token.sent_to.append((endpoint, ptype.value))
             nic.rdma_queue.put(("barrier_rx", packet))
-            self.trace("local_deliver", dst=endpoint, ctx=pctx)
+            self.trace("local_deliver", {"dst": endpoint, "ctx": pctx})
             return
 
         conn = nic.connection(dst_node)
@@ -565,7 +560,9 @@ class NicBarrierEngine:
         if is_resend:
             self.resends += 1
         nic.send_queue.put((packet, False))
-        self.trace("send", dst=endpoint, type=ptype.value, seq=seqno, ctx=pctx)
+        self.trace("send", {
+            "dst": endpoint, "type": ptype.value, "seq": seqno, "ctx": pctx,
+        })
 
     # ------------------------------------------------------------------
     # Closed-port recovery (Section 3.2)
@@ -595,7 +592,7 @@ class NicBarrierEngine:
         )
         self.rejects_sent += 1
         self.nic.send_queue.put((packet, False))
-        self.trace("reject", to=target, port=local_port, ctx=pctx)
+        self.trace("reject", {"to": target, "port": local_port, "ctx": pctx})
 
     def on_reject(self, packet: Packet):
         """A peer rejected our barrier message; resend if still relevant

@@ -31,6 +31,7 @@ from repro.gm.port import NicPort
 from repro.gm.tokens import CollectiveSendToken, Endpoint
 from repro.network.packet import Packet, PacketType
 from repro.nic.mcp.connection import BarrierUnacked, SentEntry
+from repro.sim.tracing import trace_site
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.nic.nic import Nic
@@ -62,19 +63,14 @@ class NicCollectiveEngine:
 
     def __init__(self, nic: "Nic") -> None:
         self.nic = nic
+        #: Trace site: category ``nic<id>``, labels ``coll.<label>``.
+        self.trace = trace_site(nic.tracer, f"nic{nic.node_id}", "coll.")
         self._recent_tokens: Dict[int, Deque[CollectiveSendToken]] = {}
         self.collectives_initiated = 0
         self.unexpected_recorded = 0
         self.resends = 0
 
     # ------------------------------------------------------------------
-    def trace(self, label: str, **payload) -> None:
-        """Record a trace event if tracing is enabled."""
-        if self.nic.tracer is not None:
-            self.nic.tracer.record(
-                f"nic{self.nic.node_id}", f"coll.{label}", **payload
-            )
-
     def _token_live(self, port: NicPort, token: CollectiveSendToken) -> bool:
         return port.is_open and port.coll_send_token is token
 
@@ -104,7 +100,9 @@ class NicCollectiveEngine:
         port.coll_send_token = token
         self._remember(port_id, token)
         self.collectives_initiated += 1
-        self.trace("initiate", port=port_id, kind=token.kind, seq=token.coll_seq)
+        self.trace("initiate", {
+            "port": port_id, "kind": token.kind, "seq": token.coll_seq,
+        })
 
         if token.kind in ("reduce", "allreduce"):
             yield from self._reduce_initiate(port, token)
@@ -236,7 +234,9 @@ class NicCollectiveEngine:
         if port is None or not port.is_open:
             if port is not None:
                 port.closed_barrier_record.add(src)
-            self.trace("closed_port_record", src=src, port=packet.dst_port)
+            self.trace("closed_port_record", {
+                "src": src, "port": packet.dst_port,
+            })
             yield nic.cpu_time("barrier_record")
             return
 
@@ -288,7 +288,7 @@ class NicCollectiveEngine:
             "dst_port": packet.dst_port,
         }
         self.unexpected_recorded += 1
-        self.trace("recorded", src=src, kind=kind)
+        self.trace("recorded", {"src": src, "kind": kind})
         yield nic.cpu_time("barrier_record")
 
     def complete(self, port_id: int, token: CollectiveSendToken):
@@ -322,7 +322,9 @@ class NicCollectiveEngine:
                 nic_complete_time=nic_complete_time,
             ),
         )
-        self.trace("complete", port=port_id, seq=token.coll_seq, kind=token.kind)
+        self.trace("complete", {
+            "port": port_id, "seq": token.coll_seq, "kind": token.kind,
+        })
         if token.phase == "bcast" and token.children:
             token.bcast_index = 0
             nic.sdma_inbox.put(("coll_bcast", port_id, token))
@@ -386,7 +388,9 @@ class NicCollectiveEngine:
         if is_resend:
             self.resends += 1
         nic.send_queue.put((packet, False))
-        self.trace("send", dst=endpoint, type=ptype.value, seq=seqno)
+        self.trace("send", {
+            "dst": endpoint, "type": ptype.value, "seq": seqno,
+        })
 
     # ------------------------------------------------------------------
     # Closed-port recovery (shares the barrier REJECT mechanism)

@@ -30,7 +30,7 @@ from repro.gm.tokens import (
     ReceiveToken,
     SendToken,
 )
-from repro.sim.tracing import TraceContext
+from repro.sim.tracing import TraceContext, trace_site
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.topology_calc import BarrierPlan
@@ -46,6 +46,8 @@ class GmPort:
         self.nic = nic
         self.port_id = port_id
         self.port = nic.port(port_id)
+        #: Host-side trace site (category ``host<node_id>``).
+        self.trace = trace_site(nic.tracer, f"host{node.node_id}")
         #: Events received but not yet consumed by ``receive_where``.
         self._stash: List[GmEvent] = []
         #: Host-side guard: a barrier initiated on this port whose
@@ -60,12 +62,6 @@ class GmPort:
         #: ``Communicator.shrink``): their PeerFailureEvents stop raising,
         #: so recovery code can keep using the port.
         self._acked_failures: set = set()
-
-    def _trace(self, label: str, **payload) -> None:
-        """Host-side trace record (category ``host<node_id>``)."""
-        tracer = self.nic.tracer
-        if tracer is not None:
-            tracer.record(f"host{self.node.node_id}", label, **payload)
 
     # ------------------------------------------------------------------
     @property
@@ -190,10 +186,10 @@ class GmPort:
             if isinstance(event, BarrierCompletedEvent):
                 self._barrier_pending = False
                 if event.ctx is not None:
-                    self._trace(
-                        "barrier.exit", ctx=event.ctx, seq=event.barrier_seq,
-                        port=self.port_id,
-                    )
+                    self.trace("barrier.exit", {
+                        "ctx": event.ctx, "seq": event.barrier_seq,
+                        "port": self.port_id,
+                    })
             elif isinstance(event, CollectiveCompletedEvent):
                 self._collective_pending = False
             if isinstance(event, SendToken) and event.callback:  # pragma: no cover
@@ -209,10 +205,10 @@ class GmPort:
         """
         self._barrier_pending = False
         self._collective_pending = False
-        self._trace(
-            "peer.failure", suspects=sorted(event.suspects),
-            port=self.port_id, ctx=event.ctx,
-        )
+        self.trace("peer.failure", {
+            "suspects": sorted(event.suspects), "port": self.port_id,
+            "ctx": event.ctx,
+        })
         raise PeerFailure(self.node.node_id, event.suspects, ctx=event.ctx)
 
     def acknowledge_failures(self, suspects) -> None:
@@ -261,10 +257,10 @@ class GmPort:
         if isinstance(event, BarrierCompletedEvent):
             self._barrier_pending = False
             if event.ctx is not None:
-                self._trace(
-                    "barrier.exit", ctx=event.ctx, seq=event.barrier_seq,
-                    port=self.port_id,
-                )
+                self.trace("barrier.exit", {
+                    "ctx": event.ctx, "seq": event.barrier_seq,
+                    "port": self.port_id,
+                })
         elif isinstance(event, CollectiveCompletedEvent):
             self._collective_pending = False
         return event
@@ -307,10 +303,10 @@ class GmPort:
             ctx=TraceContext.root(),
         )
         self._barrier_pending = True
-        self._trace(
-            "barrier.queue", ctx=token.ctx, seq=token.barrier_seq,
-            port=self.port_id, alg=token.algorithm,
-        )
+        self.trace("barrier.queue", {
+            "ctx": token.ctx, "seq": token.barrier_seq, "port": self.port_id,
+            "alg": token.algorithm,
+        })
         self.nic.post_token(self.port_id, token)
         return token
 

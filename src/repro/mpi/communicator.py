@@ -455,13 +455,10 @@ class Communicator:
         )
         new_rank = survivors.index(self.group[self.rank])
         self.reconfigure(survivors, new_rank)
-        tracer = port.nic.tracer
-        if tracer is not None:
-            tracer.record(
-                f"host{port.node.node_id}", "comm.shrink",
-                round=self._shrink_round, rank=new_rank,
-                size=len(survivors), suspects=sorted(suspects),
-            )
+        port.trace("comm.shrink", {
+            "round": self._shrink_round, "rank": new_rank,
+            "size": len(survivors), "suspects": sorted(suspects),
+        })
         return survivors
 
     # ------------------------------------------------------------------

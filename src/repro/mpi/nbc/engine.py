@@ -222,10 +222,10 @@ class ProgressEngine:
         state = _Outstanding(request, schedule, buffers)
         self._outstanding[seq] = state
         self.metrics.counter("nbc.requests").inc()
-        self.port._trace(
-            "nbc.queue", ctx=state.ctx, seq=seq, kind=kind,
-            rounds=schedule.num_rounds, port=self.port.port_id,
-        )
+        self.port.trace("nbc.queue", {
+            "ctx": state.ctx, "seq": seq, "kind": kind,
+            "rounds": schedule.num_rounds, "port": self.port.port_id,
+        })
         yield from self.port.ensure_receive_buffers(comm.params.recv_pool)
         self._arm_watchdog()
         yield from self._begin_round(state)
@@ -326,9 +326,9 @@ class ProgressEngine:
             ops = state.schedule.rounds[rnd]
             state.round_ctx = ctx = state.ctx.child()
             if ops:
-                self.port._trace(
-                    "nbc.round", ctx=ctx, seq=state.request.seq, round=rnd,
-                )
+                self.port.trace("nbc.round", {
+                    "ctx": ctx, "seq": state.request.seq, "round": rnd,
+                })
             state.waiting = {op.peer for op in ops if op.kind == "recv"}
             for op in ops:
                 if op.kind != "send":
@@ -390,9 +390,9 @@ class ProgressEngine:
         self.metrics.histogram("nbc.latency_us").observe(
             request.completed_at - request.started_at
         )
-        self.port._trace(
-            "nbc.exit", ctx=state.ctx, seq=request.seq, kind=request.kind,
-        )
+        self.port.trace("nbc.exit", {
+            "ctx": state.ctx, "seq": request.seq, "kind": request.kind,
+        })
         if not self._outstanding:
             self._disarm_watchdog()
 
@@ -411,9 +411,9 @@ class ProgressEngine:
             request.result = None
             request.completed_at = self.sim.now
             self.metrics.counter("nbc.aborted").inc()
-            self.port._trace(
-                "nbc.abort", ctx=state.ctx, seq=seq, round=state.round_idx,
-            )
+            self.port.trace("nbc.abort", {
+                "ctx": state.ctx, "seq": seq, "round": state.round_idx,
+            })
         self._early.clear()
         self._disarm_watchdog()
 
@@ -467,12 +467,11 @@ class ProgressEngine:
             self.metrics.counter("nbc.watchdog.stalls").inc()
             oldest = min(self._outstanding)
             state = self._outstanding[oldest]
-            self.port._trace(
-                "nbc.stall", ctx=state.ctx, seq=oldest,
-                round=state.round_idx,
-                waiting=sorted(state.waiting),
-                idle_us=self.sim.now - self._last_event_at,
-            )
+            self.port.trace("nbc.stall", {
+                "ctx": state.ctx, "seq": oldest, "round": state.round_idx,
+                "waiting": sorted(state.waiting),
+                "idle_us": self.sim.now - self._last_event_at,
+            })
         self._arm_watchdog()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

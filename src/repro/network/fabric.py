@@ -72,8 +72,8 @@ class Network:
                 spec.num_ports,
                 routing_delay_us=self.params.routing_delay_us,
                 switch_id=spec.switch_id,
+                tracer=tracer,
             )
-            switch.tracer = tracer
             self._switches[spec.switch_id] = switch
             metrics = sim.metrics
             metrics.observe(
@@ -143,8 +143,8 @@ class Network:
             self.params.bandwidth_mbps,
             self.params.propagation_us,
             name=name,
+            tracer=self.tracer,
         )
-        ch.tracer = self.tracer
         metrics = self.sim.metrics
         metrics.observe(f"link.{name}.bytes", lambda c=ch: c.bytes_sent)
         metrics.observe(f"link.{name}.utilization", lambda c=ch: c.utilization())

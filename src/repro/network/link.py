@@ -10,6 +10,13 @@ A channel transmits one packet at a time.  ``serialization = size /
 bandwidth`` occupies the channel; the packet is delivered to the sink
 ``serialization + propagation`` after transmission starts.  Bandwidth is
 in MB/s which, with microsecond time units, conveniently equals bytes/us.
+
+The end of each transmission is a *reserved* engine slot
+(:meth:`~repro.sim.engine.Simulator.reserve`), not an event: on an idle
+link that event would only mark the transmitter free, which the slot
+answers by having passed.  It becomes an event (at its reserved key, so
+every other event keeps its ``seq``) only when a packet is waiting for
+the transmitter at that instant.
 """
 
 from __future__ import annotations
@@ -19,6 +26,7 @@ from typing import Callable, Deque, Optional, Protocol
 
 from repro.network.packet import Packet
 from repro.sim.engine import Simulator
+from repro.sim.tracing import Tracer, trace_site
 
 
 class PacketSink(Protocol):
@@ -42,6 +50,9 @@ class Channel:
         Cable propagation delay in microseconds.
     name:
         Label for traces.
+    tracer:
+        Optional tracer: deliveries of ctx-carrying packets leave a
+        ``net``/``link.deliver`` record.
 
     The ``sink`` (set via :meth:`connect`) receives the packet when its
     tail arrives.  An optional ``loss_filter`` may drop packets (used by
@@ -49,7 +60,7 @@ class Channel:
     their serialization time, as a corrupted packet would.
 
     Fault-injection hooks (all inert by default -- an unfaulted channel
-    schedules exactly the same events as before these hooks existed):
+    schedules exactly the same events as without them):
 
     * ``fault_filter`` -- richer generalization of ``loss_filter``: a
       callable returning ``None`` (deliver), ``"drop"`` (lose silently)
@@ -68,6 +79,7 @@ class Channel:
         bandwidth_mbps: float,
         propagation_us: float,
         name: str = "",
+        tracer: Optional[Tracer] = None,
     ) -> None:
         if bandwidth_mbps <= 0:
             raise ValueError("bandwidth must be positive")
@@ -78,14 +90,16 @@ class Channel:
         self.propagation_us = propagation_us
         self.name = name
         self.sink: Optional[PacketSink] = None
-        #: Optional tracer; set by the fabric so deliveries of
-        #: ctx-carrying packets leave a ``link.deliver`` record.
-        self.tracer = None
+        self.trace = trace_site(tracer, "net", "link.")
         self.loss_filter: Optional[Callable[[Packet], bool]] = None
         #: Fault-injection hook: ``fn(packet) -> None | "drop" | "corrupt"``.
         self.fault_filter: Optional[Callable[[Packet], Optional[str]]] = None
         self._queue: Deque[Packet] = deque()
-        self._busy = False
+        #: Reserved transmit-end slot of the latest packet put on the
+        #: wire; the wire is busy until it passes (``slot < now_key``).
+        self._tx_end: Optional[list] = None
+        #: Whether that slot has been made an event (a packet waits).
+        self._tx_armed = False
         self._paused = False
         #: Link-flap state: a down channel loses everything sent into it.
         self.is_down = False
@@ -111,17 +125,26 @@ class Channel:
         """Enqueue ``packet`` for transmission (returns immediately)."""
         if self.sink is None:
             raise RuntimeError(f"channel {self.name!r} has no sink connected")
-        self._queue.append(packet)
-        depth = self.queue_depth
-        if depth > self.max_queue_depth:
-            self.max_queue_depth = depth
-        if not self._busy:
+        queue = self._queue
+        queue.append(packet)
+        end = self._tx_end
+        if end is None or end < self.sim.now_key:  # the wire is idle
+            if len(queue) > self.max_queue_depth:
+                self.max_queue_depth = len(queue)
             self._start_next()
+        else:
+            if len(queue) >= self.max_queue_depth:
+                self.max_queue_depth = len(queue) + 1
+            if not self._tx_armed and not self._paused:
+                self._arm()
 
     @property
     def queue_depth(self) -> int:
         """Packets queued or on the wire."""
-        return len(self._queue) + (1 if self._busy else 0)
+        end = self._tx_end
+        if end is None or end < self.sim.now_key:
+            return len(self._queue)
+        return len(self._queue) + 1
 
     def serialization_time(self, packet: Packet) -> float:
         """Wire occupancy time for one packet."""
@@ -154,8 +177,11 @@ class Channel:
         if not self._paused:
             return
         self._paused = False
-        if not self._busy:
+        end = self._tx_end
+        if end is None or end < self.sim.now_key:
             self._start_next()
+        elif self._queue and not self._tx_armed:
+            self._arm()
 
     # ------------------------------------------------------------------
     def _transmit_verdict(self, packet: Packet) -> Optional[str]:
@@ -169,11 +195,18 @@ class Channel:
         return None
 
     def _start_next(self) -> None:
+        """Put the next queued packet on the idle wire, if any."""
         if self._paused or not self._queue:
-            self._busy = False
             return
-        self._busy = True
-        packet = self._queue.popleft()
+        ser = self._transmit(self._queue.popleft())
+        # Channel frees up when the tail leaves the transmitter.
+        self._tx_end = self.sim.reserve(ser)
+        if self._queue:
+            self._arm()
+
+    def _transmit(self, packet: Packet) -> float:
+        """Account one packet put on the wire and schedule its delivery
+        unless it is lost; returns its serialization time."""
         ser = self.serialization_time(packet)
         self.busy_us += ser
         verdict = self._transmit_verdict(packet)
@@ -189,20 +222,25 @@ class Channel:
             self.sim.schedule(
                 ser + self.propagation_us, self._deliver, packet
             )
-        # Channel frees up when the tail leaves the transmitter.
-        self.sim.schedule(ser, self._tx_done)
+        return ser
+
+    def _arm(self) -> None:
+        """A packet waits: make the transmit end an event."""
+        self._tx_armed = True
+        self.sim.materialize(self._tx_end, self._tx_done)
 
     def _deliver(self, packet: Packet) -> None:
         assert self.sink is not None
-        if self.tracer is not None and packet.ctx is not None:
-            self.tracer.record(
-                "net", "link.deliver", key=packet.packet_id,
-                channel=self.name, ctx=packet.ctx,
-            )
+        if packet.ctx is not None:
+            self.trace("deliver", {
+                "key": packet.packet_id, "channel": self.name,
+                "ctx": packet.ctx,
+            })
         self.sink.receive_packet(packet)
 
     def _tx_done(self) -> None:
-        self._busy = False
+        self._tx_end = None
+        self._tx_armed = False
         self._start_next()
 
 

@@ -21,6 +21,7 @@ from typing import Dict, Optional
 from repro.network.link import Channel, PacketSink
 from repro.network.packet import Packet
 from repro.sim.engine import Simulator
+from repro.sim.tracing import Tracer, trace_site
 
 
 class _SwitchInput:
@@ -41,7 +42,9 @@ class CrossbarSwitch:
 
     Ports are wired with :meth:`attach`: the caller supplies the outgoing
     channel for a port (towards whatever is cabled there) and receives the
-    sink object to connect as that cable's delivery target.
+    sink object to connect as that cable's delivery target.  With a
+    ``tracer``, routed ctx-carrying packets leave a ``switch.route``
+    record.
     """
 
     def __init__(
@@ -51,6 +54,7 @@ class CrossbarSwitch:
         routing_delay_us: float = 0.35,
         switch_id: int = 0,
         name: str = "",
+        tracer: Optional[Tracer] = None,
     ) -> None:
         if num_ports <= 0:
             raise ValueError("switch needs at least one port")
@@ -61,9 +65,7 @@ class CrossbarSwitch:
         self.name = name or f"switch{switch_id}"
         self._outputs: Dict[int, Channel] = {}
         self._inputs: Dict[int, _SwitchInput] = {}
-        #: Optional tracer; set by the fabric so routed ctx-carrying
-        #: packets leave a ``switch.route`` record.
-        self.tracer = None
+        self.trace = trace_site(tracer, "net", "switch.")
         #: Counters for tests.
         self.packets_routed = 0
         self.packets_dead_ended = 0
@@ -104,12 +106,11 @@ class CrossbarSwitch:
             self.packets_dead_ended += 1
             return
         self.packets_routed += 1
-        if self.tracer is not None and packet.ctx is not None:
-            self.tracer.record(
-                "net", "switch.route", key=packet.packet_id,
-                switch=self.name, in_port=in_port, out_port=out_port,
-                ctx=packet.ctx,
-            )
+        if packet.ctx is not None:
+            self.trace("route", {
+                "key": packet.packet_id, "switch": self.name,
+                "in_port": in_port, "out_port": out_port, "ctx": packet.ctx,
+            })
         if channel.queue_depth > 0:
             self.output_stalls[out_port] = self.output_stalls.get(out_port, 0) + 1
         self.sim.schedule(self.routing_delay_us, channel.send, packet)

@@ -161,12 +161,10 @@ class FailureDetector:
         self.suspects.add(peer)
         self.suspected_at[peer] = self.sim.now
         nic = self.nic
-        if nic.tracer is not None:
-            nic.tracer.record(
-                f"nic{nic.node_id}", "fd.suspect", peer=peer,
-                last_seen=self.last_seen.get(peer),
-                suspect_after=self.suspect_after,
-            )
+        nic.trace("fd.suspect", {
+            "peer": peer, "last_seen": self.last_seen.get(peer),
+            "suspect_after": self.suspect_after,
+        })
         nic.on_peer_suspected(peer)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

@@ -17,8 +17,11 @@ and ``RDMA`` terms are nonzero even for empty messages.
 
 from __future__ import annotations
 
+from typing import Optional
+
 from repro.sim.engine import Simulator
 from repro.sim.primitives import Resource
+from repro.sim.tracing import Tracer, trace_site
 
 
 class DmaEngine:
@@ -31,6 +34,7 @@ class DmaEngine:
         pci_bandwidth_mbps: float,
         pci_setup_us: float,
         name: str = "",
+        tracer: Optional[Tracer] = None,
     ) -> None:
         if pci_bandwidth_mbps <= 0:
             raise ValueError("PCI bandwidth must be positive")
@@ -41,9 +45,12 @@ class DmaEngine:
         self.pci_bandwidth_mbps = pci_bandwidth_mbps
         self.pci_setup_us = pci_setup_us
         self.name = name
-        #: Optional tracer (set by the owning NIC); transfers carrying a
-        #: trace context leave a ``{sdma,rdma}.dma`` record on completion.
-        self.tracer = None
+        # Transfers carrying a trace context leave a record on completion:
+        # name "nic3.rdma" -> category "nic3", label "rdma.dma".
+        category, _, engine = name.rpartition(".")
+        self.trace = trace_site(
+            tracer, category or "dma", f"{engine or 'dma'}."
+        )
         self.transfers = 0
         self.bytes_moved = 0
         metrics = sim.metrics
@@ -97,11 +104,8 @@ class DmaEngine:
         finally:
             if granted:
                 self._busy.end()
-        if ctx is not None and self.tracer is not None:
-            # Name "nic3.rdma" -> category "nic3", label "rdma.dma".
-            category, _, engine = self.name.rpartition(".")
-            self.tracer.record(
-                category or "dma", f"{engine or 'dma'}.dma",
-                size=size_bytes, wait_us=self.sim.now - requested_at,
-                ctx=ctx,
-            )
+        if ctx is not None:
+            self.trace("dma", {
+                "size": size_bytes, "wait_us": self.sim.now - requested_at,
+                "ctx": ctx,
+            })

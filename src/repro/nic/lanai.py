@@ -88,6 +88,21 @@ class LanaiModel:
         )
 
 
+class OpTimes(dict):
+    """Operation -> microseconds on one card: the same floats as
+    :meth:`LanaiModel.time`, one dict lookup each; an unknown operation
+    raises that method's ``KeyError``."""
+
+    __slots__ = ("model",)
+
+    def __init__(self, model: LanaiModel) -> None:
+        super().__init__((op, model.time(op)) for op in model.cycles)
+        self.model = model
+
+    def __missing__(self, operation: str) -> float:
+        return self.model.time(operation)
+
+
 #: Shared firmware cycle table (the firmware is the same across cards; the
 #: clock is what differs).  Values calibrated against the paper's Figure 5
 #: anchors -- see analysis/calibration.py and EXPERIMENTS.md.

@@ -11,6 +11,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.sim.process import Process
+from repro.sim.tracing import trace_site
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.nic.nic import Nic
@@ -30,6 +31,10 @@ class StateMachine:
     def __init__(self, nic: "Nic") -> None:
         self.nic = nic
         self.sim = nic.sim
+        #: Trace site: category ``nic<id>``, labels ``<machine>.<label>``.
+        self.trace = trace_site(
+            nic.tracer, f"nic{nic.node_id}", f"{self.machine_name}."
+        )
         self.process = Process(
             nic.sim,
             self._run(),
@@ -41,13 +46,6 @@ class StateMachine:
         yield  # make it a generator
 
     # ------------------------------------------------------------------
-    def trace(self, label: str, **payload) -> None:
-        """Record a trace event if tracing is enabled."""
-        if self.nic.tracer is not None:
-            self.nic.tracer.record(
-                f"nic{self.nic.node_id}", f"{self.machine_name}.{label}", **payload
-            )
-
     def stop(self) -> None:
         """Kill the machine's process (shutdown/cleanup)."""
         self.process.kill()

@@ -83,7 +83,7 @@ class RdmaMachine(StateMachine):
                     payload=packet.payload.get("body"),
                 ),
             )
-        self.trace("delivered", key=packet.packet_id, ctx=packet.ctx)
+        self.trace("delivered", {"key": packet.packet_id, "ctx": packet.ctx})
 
     # ------------------------------------------------------------------
     # One-sided Get/Put (the Section 8 layer): the RDMA machine is the
@@ -124,7 +124,7 @@ class RdmaMachine(StateMachine):
                         size_bytes=packet.payload_bytes,
                     ),
                 )
-            self.trace("put", key=packet.packet_id)
+            self.trace("put", {"key": packet.packet_id})
         elif packet.ptype is PacketType.GET_REQ:
             region = None if port is None else port.exposed_regions.get(
                 packet.payload["region_id"]
@@ -161,7 +161,7 @@ class RdmaMachine(StateMachine):
             conn.record_sent(SentEntry(seqno=reply.seqno, packet=reply, token=None))
             nic.ensure_retransmit_timer(conn)
             nic.send_queue.put((reply, False))
-            self.trace("get_served", key=packet.packet_id)
+            self.trace("get_served", {"key": packet.packet_id})
         else:  # GET_REPLY
             yield from nic.rdma_engine.transfer(packet.payload_bytes)
             nic.rx_buffers.release()
@@ -177,7 +177,7 @@ class RdmaMachine(StateMachine):
                         size_bytes=packet.payload_bytes,
                     ),
                 )
-            self.trace("get_completed", key=packet.packet_id)
+            self.trace("get_completed", {"key": packet.packet_id})
 
     # ------------------------------------------------------------------
     def _send_ack(self, remote_node: int):

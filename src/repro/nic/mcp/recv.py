@@ -155,8 +155,9 @@ class RecvMachine(StateMachine):
 
         conn.accept_incoming()
         port.messages_received += 1
-        self.trace("accepted", key=packet.packet_id, seq=packet.seqno,
-                   ctx=packet.ctx)
+        self.trace("accepted", {
+            "key": packet.packet_id, "seq": packet.seqno, "ctx": packet.ctx,
+        })
         nic.schedule_ack(conn)
         nic.rdma_queue.put(("deliver", packet, recv_token))
 
@@ -194,8 +195,10 @@ class RecvMachine(StateMachine):
     def _handle_barrier_payload(self, packet: Packet):
         nic = self.nic
         yield nic.cpu_time("recv_barrier")
-        self.trace("barrier_recv", key=packet.packet_id,
-                   src=(packet.src_node, packet.src_port), ctx=packet.ctx)
+        self.trace("barrier_recv", {
+            "key": packet.packet_id, "src": (packet.src_node, packet.src_port),
+            "ctx": packet.ctx,
+        })
         mode = nic.params.barrier_reliability
         if mode is BarrierReliability.TOKEN_PER_DESTINATION:
             # Barrier packets share the regular stream: same seqno rules.

@@ -91,8 +91,9 @@ class SdmaMachine(StateMachine):
                     dst_port=dst_port,
                 ),
             )
-        self.trace("suspect_fake_ack", key=token.token_id, dst=dst_node,
-                   ctx=token.ctx)
+        self.trace("suspect_fake_ack", {
+            "key": token.token_id, "dst": dst_node, "ctx": token.ctx,
+        })
 
     def _process_send_token(self, port_id: int, token: SendToken):
         """Ordinary reliable send: DMA payload in, prepare, hand to SEND."""
@@ -130,8 +131,10 @@ class SdmaMachine(StateMachine):
         yield nic.cpu_time("send_queue_manage")
         conn.record_sent(SentEntry(seqno=token.seqno, packet=packet, token=token))
         nic.ensure_retransmit_timer(conn)
-        self.trace("prepared", key=packet.packet_id, dst=token.dst_node,
-                   seq=token.seqno, ctx=packet.ctx)
+        self.trace("prepared", {
+            "key": packet.packet_id, "dst": token.dst_node, "seq": token.seqno,
+            "ctx": packet.ctx,
+        })
         nic.send_queue.put((packet, True))  # True: uses a tx buffer
 
     def _process_multicast_token(self, port_id: int, token):
@@ -172,8 +175,9 @@ class SdmaMachine(StateMachine):
             # The SRAM buffer is released when the *last* replica has been
             # handed to the wire.
             nic.send_queue.put((packet, i == last_index))
-        self.trace("multicast_fanout", key=token.token_id,
-                   fanout=len(token.destinations))
+        self.trace("multicast_fanout", {
+            "key": token.token_id, "fanout": len(token.destinations),
+        })
 
     def _retransmit(self, remote_node: int, entry: SentEntry):
         """Re-DMA and re-send one sent-list entry (if still unacked)."""
@@ -191,6 +195,8 @@ class SdmaMachine(StateMachine):
         entry.retransmits += 1
         conn.packets_retransmitted += 1
         packet = nic.clone_packet(entry.packet)
-        self.trace("retransmit", key=packet.packet_id, dst=remote_node,
-                   seq=entry.seqno, ctx=packet.ctx)
+        self.trace("retransmit", {
+            "key": packet.packet_id, "dst": remote_node, "seq": entry.seqno,
+            "ctx": packet.ctx,
+        })
         nic.send_queue.put((packet, True))

@@ -28,5 +28,7 @@ class SendMachine(StateMachine):
             nic.inject(packet)
             if uses_buffer:
                 nic.tx_buffers.release()
-            self.trace("xmit", key=packet.packet_id, type=packet.ptype.value,
-                       ctx=packet.ctx)
+            self.trace("xmit", {
+                "key": packet.packet_id, "type": packet.ptype.value,
+                "ctx": packet.ctx,
+            })

@@ -19,7 +19,7 @@ from repro.network.fabric import Network
 from repro.network.packet import Packet, PacketType
 from repro.nic.buffers import BufferPool
 from repro.nic.dma import DmaEngine
-from repro.nic.lanai import LanaiModel
+from repro.nic.lanai import LanaiModel, OpTimes
 from repro.nic.mcp.connection import Connection
 from repro.nic.mcp.rdma import RdmaMachine
 from repro.nic.mcp.recv import RecvMachine
@@ -27,7 +27,7 @@ from repro.nic.mcp.sdma import SdmaMachine
 from repro.nic.mcp.send import SendMachine
 from repro.sim.engine import Simulator
 from repro.sim.primitives import Claim, Resource, Store
-from repro.sim.tracing import TraceContext, Tracer
+from repro.sim.tracing import TraceContext, Tracer, trace_site
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.nic_barrier import NicBarrierEngine
@@ -122,9 +122,13 @@ class Nic:
         self.sim = sim
         self.node_id = node_id
         self.model = model
+        #: ``model``'s operation -> us table, read by :meth:`cpu_time`.
+        self._op_us = OpTimes(model)
         self.network = network
         self.params = params or NicParams()
         self.tracer = tracer
+        #: Trace site for NIC-level records (category ``nic<id>``).
+        self.trace = trace_site(tracer, f"nic{node_id}")
         self.num_ports = num_ports
 
         # -- hardware resources ---------------------------------------------
@@ -133,13 +137,13 @@ class Nic:
         self.sdma_engine = DmaEngine(
             sim, self.pci_bus, self.params.pci_bandwidth_mbps,
             self.params.pci_setup_us, name=f"nic{node_id}.sdma",
+            tracer=tracer,
         )
         self.rdma_engine = DmaEngine(
             sim, self.pci_bus, self.params.pci_bandwidth_mbps,
             self.params.pci_setup_us, name=f"nic{node_id}.rdma",
+            tracer=tracer,
         )
-        self.sdma_engine.tracer = tracer
-        self.rdma_engine.tracer = tracer
         self.tx_buffers = BufferPool(
             sim, self.params.tx_buffers, self.params.buffer_bytes,
             name=f"nic{node_id}.tx",
@@ -427,7 +431,7 @@ class Nic:
         """
         token.queued_at = self.sim.now
         self.sim.schedule(
-            self.model.time("poll_detect"),
+            self._op_us["poll_detect"],
             self.sdma_inbox.put,
             ("token", port_id, token),
         )
@@ -513,13 +517,12 @@ class Nic:
             entry.retransmits,
         )
         self.alarms.append(alarm)
+        self.trace("reliability.alarm", {
+            "stream": stream, "peer": conn.remote_node,
+            "retransmits": entry.retransmits,
+            "ctx": getattr(entry.packet, "ctx", None),
+        })
         if self.tracer is not None:
-            self.tracer.record(
-                f"nic{self.node_id}", "reliability.alarm",
-                stream=stream, peer=conn.remote_node,
-                retransmits=entry.retransmits,
-                ctx=getattr(entry.packet, "ctx", None),
-            )
             # Black box: attach the flight-recorder ring so whoever
             # catches the alarm (soak harness, campaign executor) can
             # ship the last-K-records dump back as data.
@@ -602,10 +605,7 @@ class Nic:
         if self.crashed or peer in self.suspected_peers:
             return
         self.suspected_peers.add(peer)
-        if self.tracer is not None:
-            self.tracer.record(
-                f"nic{self.node_id}", "peer.failed", peer=peer
-            )
+        self.trace("peer.failed", {"peer": peer})
         conn = self._connections.get(peer)
         if conn is not None:
             self._abandon_connection(conn)
@@ -689,8 +689,7 @@ class Nic:
                     ),
                 )
         self.crashed = True
-        if self.tracer is not None:
-            self.tracer.record(f"nic{self.node_id}", "nic.crash")
+        self.trace("nic.crash", {})
         if self.detector is not None:
             self.detector.stop()
         for machine in (
@@ -725,14 +724,13 @@ class Nic:
         self.send_machine = SendMachine(self)
         self.recv_machine = RecvMachine(self)
         self.rdma_machine = RdmaMachine(self)
-        if self.tracer is not None:
-            self.tracer.record(f"nic{self.node_id}", "nic.restart")
+        self.trace("nic.restart", {})
 
     # ------------------------------------------------------------------
     def cpu_time(self, operation: str) -> Claim:
         """Charge ``operation`` against the NIC processor: one hold of
         the LANai, used as ``yield nic.cpu_time("recv_packet")``."""
-        return self.cpu_resource.use(self.model.time(operation))
+        return self.cpu_resource.use(self._op_us[operation])
 
     def shutdown(self) -> None:
         """Stop the state-machine processes (end-of-test cleanup)."""

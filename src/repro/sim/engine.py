@@ -23,6 +23,16 @@ the classic single-heap engine this replaced -- sequence numbers are
 allocated at schedule time regardless of which tier an event lands in,
 so traces are bit-identical (see ``tests/test_engine_trace_regression``).
 
+A *reserved slot* (:meth:`Simulator.reserve`) takes the next sequence
+number exactly as :meth:`~Simulator.schedule` would but enqueues
+nothing; :meth:`~Simulator.materialize` can later make it a real event
+at that original ``(time, priority, seq)`` key.  A component whose
+follow-on event usually does nothing (a link transmitter going idle)
+reserves it and makes it an event only when there is work for it, so
+every other event keeps its ``seq`` and dispatch order is the one the
+eager event would have given.  A slot has passed -- an eager event
+there would already have run -- iff ``slot < now_key``.
+
 Hot-path representation: an :class:`EventHandle` *is* its queue entry --
 a ``list`` subclass ``[time, priority, seq, callback, args, sim]`` -- so
 heap comparisons run entirely in C (floats/ints compared element-wise;
@@ -66,6 +76,9 @@ WHEEL_GRANULE = 256.0
 
 def _noop(*_args: Any) -> None:
     return None
+
+
+_INF = float("inf")
 
 
 class EventHandle(list):
@@ -211,6 +224,16 @@ class Simulator:
         self._live: int = 0
         self._running: bool = False
         self._stop_requested: bool = False
+        #: Highest ``[time, priority, seq, ...]`` key dispatched so far:
+        #: the running event's, unless it was scheduled at this instant
+        #: with a smaller priority value than an event already run.  A
+        #: reserved slot ``s`` has passed iff ``s < now_key``.  After
+        #: ``run(until=t)`` it is ``[t, inf, inf]`` (every slot at or
+        #: before ``t`` passed), after a drained ``run()`` likewise at the
+        #: final clock.
+        self.now_key: list = [start_time, -_INF, -_INF]
+        #: Latest reserved slot time: a drained run ends no earlier.
+        self._last_slot_time: float = start_time
         # Near tier: current bucket (heap) + future buckets (unsorted lists).
         idx = start_time // BUCKET_WIDTH
         self._cur: List[EventHandle] = []
@@ -304,6 +327,52 @@ class Simulator:
                     bucket.append(handle)
             else:
                 heappush(self._ovf, handle)
+        return handle
+
+    def reserve(
+        self, delay: float, priority: int = PRIORITY_NORMAL
+    ) -> list:
+        """Take the ``(time, priority, seq)`` key ``schedule(delay, ...)``
+        would get, as a ``[time, priority, seq]`` list, enqueueing nothing.
+
+        The slot fires nothing unless :meth:`materialize` makes it an
+        event, and has passed once ``slot < now_key``.  It must land after
+        ``now_key`` (``ValueError`` otherwise: a zero-delay slot with a
+        smaller priority value than the running event, or at the instant
+        ``run(until=...)`` stopped at), because that comparison could not
+        tell it from one already dispatched.
+        """
+        if delay < 0:
+            if delay >= -1e-9:
+                delay = 0.0
+            else:
+                raise ValueError(
+                    f"cannot schedule into the past (delay={delay})"
+                )
+        t = self.now + delay
+        self._seq = seq = self._seq + 1
+        slot = [t, priority, seq]
+        if slot < self.now_key:
+            raise ValueError(
+                f"reserved slot {slot} would land before now_key "
+                f"{self.now_key[:3]}"
+            )
+        if t > self._last_slot_time:
+            self._last_slot_time = t
+        return slot
+
+    def materialize(
+        self, slot: list, callback: Callable[..., None], *args: Any
+    ) -> EventHandle:
+        """Schedule ``callback(*args)`` at a reserved slot's own key.
+
+        The event runs exactly where a ``schedule()`` made at reservation
+        time would have run.  The slot must not have passed, and
+        materializing uses it up: do it at most once.
+        """
+        self._live += 1
+        handle = EventHandle((slot[0], slot[1], slot[2], callback, args, self))
+        self._insert(handle)
         return handle
 
     def schedule_at(
@@ -477,6 +546,8 @@ class Simulator:
             return False
         handle = heappop(self._cur)
         self.now = handle[0]
+        if handle > self.now_key:
+            self.now_key = handle
         callback = handle[3]
         args = handle[4]
         handle[3] = None
@@ -536,7 +607,16 @@ class Simulator:
                 self._run_checked(until, max_events)
             else:
                 self._run_fast(max_events)
-            if until is not None and self.now < until:
+            if not self._stop_requested:
+                # Everything up to ``until`` (or everything) ran, so every
+                # reserved slot up to the end passed; an eager event at
+                # the last slot would have moved a drained clock there.
+                end = self._last_slot_time if until is None else until
+                if self.now < end:
+                    self.now = end
+                if self.now_key[0] <= self.now:
+                    self.now_key = [self.now, _INF, _INF]
+            elif until is not None and self.now < until:
                 self.now = until
         finally:
             self._running = False
@@ -560,6 +640,7 @@ class Simulator:
         executed = 0
         dead = 0
         pop = heappop
+        key = self.now_key
         try:
             cur = self._cur
             while True:
@@ -572,6 +653,8 @@ class Simulator:
                         dead += 1
                         continue
                     self.now = handle[0]
+                    if handle > key:
+                        self.now_key = key = handle
                     args = handle[4]
                     handle[3] = None
                     handle[4] = None
@@ -609,6 +692,8 @@ class Simulator:
                 return
             handle = heappop(self._cur)
             self.now = handle[0]
+            if handle > self.now_key:
+                self.now_key = handle
             callback = handle[3]
             args = handle[4]
             handle[3] = None

@@ -210,7 +210,21 @@ class Process:
             self._fail(err)
             return
         kind = type(waitable)
-        if kind is Claim or kind is StoreGet:
+        if kind is Claim:
+            self._current_wait = waitable
+            if (
+                waitable.granted
+                and waitable.duration is not None
+                and waitable.on_grant is None
+            ):
+                # A granted hold: schedule its end, the one event it costs.
+                waitable.process = self
+                waitable.timer = self.sim.schedule(
+                    waitable.duration, waitable._end
+                )
+            else:
+                waitable._attach(self)
+        elif kind is StoreGet:
             self._current_wait = waitable
             waitable._attach(self)
         else:

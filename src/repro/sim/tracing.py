@@ -14,8 +14,11 @@ payload).  It powers three things:
   an always-on :class:`FlightRecorder` ring holding the last K records
   even when full tracing is off.
 
-Tracing is off by default and costs one ring append plus one predicate
-call per record when off.
+Tracing is off by default and costs one ring append per record when
+off.  Components record through a *trace site* (:meth:`Tracer.site`):
+a recorder with the component's category and label prefix bound once,
+called as ``site(label, payload)`` with a freshly built payload dict --
+one Python frame per record, no keyword re-packing, no label formatting.
 """
 
 from __future__ import annotations
@@ -173,6 +176,36 @@ def _format_record(time: float, category: str, label: str, payload: dict) -> str
     return f"[{time:10.3f}us] {category:<10} {label} {extra}".rstrip()
 
 
+#: A component's bound recorder: ``trace(label, payload)``.
+TraceSite = Callable[[str, Dict[str, Any]], None]
+
+
+def untraced(label: str, payload: Dict[str, Any]) -> None:
+    """The trace site of a component that has no tracer: records nothing."""
+
+
+def trace_site(
+    tracer: Optional["Tracer"], category: str, prefix: str = ""
+) -> TraceSite:
+    """``tracer.site(category, prefix)``, or :func:`untraced` without one."""
+    return untraced if tracer is None else tracer.site(category, prefix)
+
+
+class _Labels(dict):
+    """A site's label table: ``labels[suffix]`` is ``prefix + suffix``,
+    concatenated on first use only."""
+
+    __slots__ = ("prefix",)
+
+    def __init__(self, prefix: str) -> None:
+        super().__init__()
+        self.prefix = prefix
+
+    def __missing__(self, label: str) -> str:
+        full = self[label] = self.prefix + label
+        return full
+
+
 #: Default flight-recorder depth (records, not bytes).
 FLIGHT_RECORDER_SIZE = 256
 
@@ -180,8 +213,8 @@ FLIGHT_RECORDER_SIZE = 256
 class FlightRecorder:
     """Always-on ring of the last K trace records (the black box).
 
-    Every :meth:`Tracer.record` call lands here *before* the
-    enabled-check, so a simulation that dies -- a
+    Every record (:meth:`Tracer.record` or a trace site) lands here
+    *before* the enabled-check, so a simulation that dies -- a
     ``RetransmitLimitExceeded`` alarm, an unhandled exception in a
     campaign job -- can ship its final moments back as data even when
     full tracing was off.  The ring stores plain ``(time, category,
@@ -211,8 +244,8 @@ class FlightRecorder:
     ) -> None:
         """Retain one record, dropping the oldest at capacity.
 
-        (:meth:`Tracer.record` writes to the ring directly -- it is the
-        simulator's hot path -- but external feeders go through here.)
+        (The tracer writes to the ring directly -- it is the simulator's
+        hot path -- but external feeders go through here.)
         """
         self._ring.append((time, category, label, payload or {}))
 
@@ -332,8 +365,8 @@ class Tracer:
         self.flight: Optional[FlightRecorder] = (
             FlightRecorder(flight_size) if flight_size else None
         )
-        # Pre-bound ring append: record() is on the simulator's hot path
-        # (every trace site calls it even untraced), so the three
+        # Pre-bound ring append: recording is on the simulator's hot path
+        # (every trace site feeds the ring even untraced), so the three
         # attribute hops flight._ring.append are resolved once here.
         self._flight_append = (
             self.flight._ring.append if self.flight is not None else None
@@ -350,13 +383,40 @@ class Tracer:
         """Record one event if tracing is enabled for ``category``.
 
         The flight ring is fed unconditionally (that is its point); the
-        full event list and sink only when enabled.
+        full event list and sink only when enabled.  Simulator components
+        record through :meth:`site` instead; this keyword form is for
+        scripts and tests.
         """
         flight_append = self._flight_append
         if flight_append is not None:
             flight_append((self.sim.now, category, label, payload))
-        if not self.enabled:
-            return
+        if self.enabled:
+            self._keep(category, label, payload)
+
+    def site(self, category: str, prefix: str = "") -> TraceSite:
+        """A recorder for one component: ``trace(label, payload)``.
+
+        Records ``(now, category, prefix + label, payload)`` exactly as
+        :meth:`record` would, from one Python frame.  ``payload`` is the
+        caller's freshly built dict, stored as given, so it must not be
+        reused; the full label comes from a per-site table, so nothing is
+        formatted per record.
+        """
+        sim = self.sim
+        flight_append = self._flight_append
+        labels = _Labels(prefix)
+
+        def trace(label: str, payload: Dict[str, Any]) -> None:
+            label = labels[label]
+            if flight_append is not None:
+                flight_append((sim.now, category, label, payload))
+            if self.enabled:
+                self._keep(category, label, payload)
+
+        return trace
+
+    def _keep(self, category: str, label: str, payload: Dict[str, Any]) -> None:
+        """Append one record to the event list (tracing enabled)."""
         if self.categories is not None and category not in self.categories:
             return
         ev = TraceEvent(self.sim.now, category, label, payload)

@@ -34,7 +34,7 @@ def _six_barriers(nic_based: bool):
 
 @pytest.mark.parametrize(
     "nic_based, final_us, events",
-    [(True, 604.9690772385511, 6704), (False, 1063.5475757575766, 15856)],
+    [(True, 604.9690772385511, 5936), (False, 1063.5475757575766, 14320)],
     ids=["nic-pe16", "host-pe16"],
 )
 def test_six_pe16_barriers_end_and_event_count_are_exact(nic_based, final_us, events):

@@ -56,13 +56,16 @@ class TestCliEndToEnd:
         assert (tmp_path / "report.md").read_text().startswith("# Regenerated")
 
     def test_module_entrypoint(self, tmp_path):
+        # --out keeps the run's BENCH_campaign.json out of the working
+        # directory (the repository root under pytest).
         result = subprocess.run(
             [sys.executable, "-m", "repro.analysis.report",
-             "--quick", "--system", "7.2"],
+             "--quick", "--system", "7.2", "--out", str(tmp_path)],
             capture_output=True, text=True, timeout=600,
         )
         assert result.returncode == 0
         assert "pe-factor" in result.stdout
+        assert (tmp_path / "BENCH_campaign.json").exists()
 
 
 class TestObservabilityFlagValidation:
